@@ -165,12 +165,7 @@ ScenarioResult runStorm(int pairs, int iterations, std::size_t bytes,
         eng.trace().recorded() == 0 && eng.trace().ringHeapBytes() == 0,
         "trace ring touched while tracing is disabled");
   };
-  if (sim::ParallelEngine* par = rts.parallelEngine()) {
-    assertNoRing(par->serialEngine());
-    for (int s = 0; s < par->shards(); ++s) assertNoRing(par->shardEngine(s));
-  } else {
-    assertNoRing(rts.engine());
-  }
+  rts.forEachEngine(assertNoRing);
   if (recordTo != nullptr) {
     recordTo->recordShardStats(rts);
     if (recordTo->wantsProfiles() || rts.metricsArmed()) {

@@ -51,11 +51,9 @@ Runtime::Runtime(MachineConfig config) : config_(std::move(config)) {
     parallel_ = std::make_unique<sim::ParallelEngine>(pcfg, std::move(shardOf));
     // Chain ids and message sequences switch to per-PE minting so they are
     // functions of per-PE order alone (partition-independent).
-    parallel_->serialEngine().trace().setPerPeMinting(
-        &parallel_->mintCounters());
-    for (int s = 0; s < parallel_->shards(); ++s)
-      parallel_->shardEngine(s).trace().setPerPeMinting(
-          &parallel_->mintCounters());
+    forEachEngine([this](sim::Engine& eng) {
+      eng.trace().setPerPeMinting(&parallel_->mintCounters());
+    });
     peMsgSeq_.assign(static_cast<std::size_t>(topo.numPes()) + 1, 0);
     // Unverified-under-sharding paths are refused loudly rather than run
     // racily: probabilistic wire faults draw from one RNG stream (pe_crash
@@ -117,16 +115,10 @@ dcmf::DcmfContext& Runtime::dcmf() {
 }
 
 void Runtime::enableTracing(std::size_t capacity) {
-  const auto arm = [capacity](sim::Engine& eng) {
+  forEachEngine([capacity](sim::Engine& eng) {
     if (capacity != 0) eng.trace().setCapacity(capacity);
     eng.trace().enable();
-  };
-  if (!parallel_) {
-    arm(engine_);
-    return;
-  }
-  arm(parallel_->serialEngine());
-  for (int s = 0; s < parallel_->shards(); ++s) arm(parallel_->shardEngine(s));
+  });
 }
 
 std::vector<sim::TraceEvent> Runtime::traceEvents() const {
@@ -134,15 +126,6 @@ std::vector<sim::TraceEvent> Runtime::traceEvents() const {
 }
 
 void Runtime::enableMetrics(double interval_us, std::size_t snapshots) {
-  const auto forEachEngine = [this](auto&& fn) {
-    if (!parallel_) {
-      fn(engine_);
-      return;
-    }
-    fn(parallel_->serialEngine());
-    for (int s = 0; s < parallel_->shards(); ++s)
-      fn(parallel_->shardEngine(s));
-  };
   forEachEngine([](sim::Engine& eng) { eng.metrics().arm(); });
   metricsArmed_ = true;
   if (interval_us <= 0.0) return;
@@ -165,17 +148,16 @@ void Runtime::enableMetrics(double interval_us, std::size_t snapshots) {
                ? 0.0
                : static_cast<double>(s.hits) / static_cast<double>(acquires);
   });
-  flight_->addProbe("retransmits", "1", [this, forEachEngine]() {
+  flight_->addProbe("retransmits", "1", [this]() {
     std::uint64_t n = 0;
     forEachEngine([&n](sim::Engine& eng) {
       n += eng.trace().count(sim::TraceTag::kRelRetransmit);
     });
     return static_cast<double>(n);
   });
-  flight_->addProbe("trace.ring", "1", [this, forEachEngine]() {
+  flight_->addProbe("trace.ring", "1", [this]() {
     std::size_t n = 0;
-    forEachEngine(
-        [&n](sim::Engine& eng) { n += eng.trace().ringSize(); });
+    forEachEngine([&n](sim::Engine& eng) { n += eng.trace().ringSize(); });
     return static_cast<double>(n);
   });
   if (parallel_) {
@@ -201,7 +183,7 @@ void Runtime::enableMetrics(double interval_us, std::size_t snapshots) {
     const obs::Slo kind = static_cast<obs::Slo>(k);
     flight_->watch(
         "slo." + std::string(obs::sloName(kind)),
-        [this, forEachEngine, kind](std::vector<std::uint64_t>& counts) {
+        [this, kind](std::vector<std::uint64_t>& counts) {
           std::uint64_t total = 0;
           forEachEngine([&](sim::Engine& eng) {
             total += eng.metrics().slo(kind).addCounts(counts);
@@ -228,13 +210,8 @@ util::JsonValue Runtime::metricsJson() {
     doc.set("series", util::JsonValue::array());
   }
   obs::MetricsRegistry merged;
-  if (!parallel_) {
-    merged.mergeFrom(engine_.metrics());
-  } else {
-    merged.mergeFrom(parallel_->serialEngine().metrics());
-    for (int s = 0; s < parallel_->shards(); ++s)
-      merged.mergeFrom(parallel_->shardEngine(s).metrics());
-  }
+  forEachEngine(
+      [&merged](sim::Engine& eng) { merged.mergeFrom(eng.metrics()); });
   doc.set("slo", merged.toJson());
   return doc;
 }

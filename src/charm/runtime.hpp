@@ -279,6 +279,18 @@ class Runtime {
     return parallel_ ? parallel_->horizon() : engine_.now();
   }
 
+  /// Visit every engine of the machine: the classic single engine, or the
+  /// serial engine and then each shard's engine in shard order.
+  template <class F>
+  void forEachEngine(F&& fn) {
+    if (!parallel_) {
+      fn(engine_);
+      return;
+    }
+    fn(parallel_->serialEngine());
+    for (int s = 0; s < parallel_->shards(); ++s) fn(parallel_->shardEngine(s));
+  }
+
   /// Events executed across every engine of the machine.
   std::uint64_t executedEvents() const {
     return parallel_ ? parallel_->executedEvents() : engine_.executedEvents();

@@ -121,12 +121,8 @@ void BenchRunner::applyLifecycle(charm::MachineConfig& machine) const {
   if (heartbeatMisses_ > 0) machine.heartbeatMisses = heartbeatMisses_;
 }
 
-void BenchRunner::applyFaults(net::Fabric& fabric) const {
-  if (!faultsArmed()) return;
-  fabric.installFaults(faultPlan_, faultSeed_);
-}
-
 void BenchRunner::applyEngine(charm::MachineConfig& machine) const {
+  shardsRead_ = true;
   if (shards_ <= 0) return;
   machine.shards = shards_;
   machine.shardThreads = shardThreads_;
@@ -199,6 +195,9 @@ void BenchRunner::addProfile(ProfileReport report) {
 }
 
 int BenchRunner::finish() {
+  CKD_REQUIRE(shards_ == 0 || shardsRead_,
+              "--shards is not supported by this bench (it runs the serial "
+              "engine only)");
   if (profile_) {
     for (const ProfileReport& report : profiles_)
       std::cout << report.toString();

@@ -107,11 +107,14 @@ class BenchRunner {
   /// Copy --scale-plan and the --heartbeat-* overrides into a
   /// MachineConfig (each a no-op when not given).
   void applyLifecycle(charm::MachineConfig& machine) const;
-  /// Arm a bare fabric directly (the mini-MPI benches build their own).
-  void applyFaults(net::Fabric& fabric) const;
 
   /// --shards / --shard-threads values (0 = legacy serial engine / auto).
-  int shards() const { return shards_; }
+  /// Reading shards() (or calling applyEngine) marks --shards as honoured;
+  /// finish() refuses a --shards the bench never read.
+  int shards() const {
+    shardsRead_ = true;
+    return shards_;
+  }
   int shardThreads() const { return shardThreads_; }
   /// --pin-threads flag.
   bool pinThreads() const { return pinThreads_; }
@@ -140,7 +143,8 @@ class BenchRunner {
   void addProfile(ProfileReport report);
 
   /// Print --profile output, write --json / --trace-dump files. Returns the
-  /// process exit code (0 on success).
+  /// process exit code (0 on success). Aborts when --shards was given to a
+  /// bench that never applied it.
   int finish();
 
   /// Host-performance snapshot since this runner was constructed: wall time,
@@ -173,6 +177,7 @@ class BenchRunner {
   int heartbeatMisses_ = 0;         ///< 0: keep the MachineConfig default
   std::string scalePlan_;           ///< empty: no lifecycle script
   int shards_ = 0;                  ///< 0: classic serial engine
+  mutable bool shardsRead_ = false; ///< shards() / applyEngine() was called
   int shardThreads_ = 0;            ///< 0: one thread per shard
   bool pinThreads_ = false;         ///< pin shard workers to CPUs
   double metricsInterval_ = 0.0;    ///< 0: streaming telemetry off

@@ -1,74 +1,47 @@
 #pragma once
-// PgasWorld: a bare PGAS machine — engine + fabric + verbs + pgas::Pgas,
-// no Charm++ scheduler — the setup the PGAS tests, the determinism storms,
-// and the ablation bench drive. Supports both the classic single engine
-// (shards = 0) and the windowed sharded engine (shards >= 1), wired exactly
-// like charm::Runtime: node-aligned shard partition, lookahead = the wire
-// latency floor, per-PE chain-id minting so traces and results are
-// bit-identical across shard counts.
+// PgasWorld: a PGAS machine — a charm::Runtime plus a pgas::Pgas over its
+// verbs layer — the setup the PGAS tests, the determinism storms, and the
+// ablation bench drive. The runtime assembles the machine (engine or
+// sharded engine, fabric, faults, telemetry), so PGAS runs on exactly the
+// machine the Charm++ and CkDirect runs do; PGAS traffic bypasses the
+// runtime's schedulers.
 
 #include <cstddef>
-#include <memory>
-#include <vector>
+#include <functional>
+#include <utility>
 
 #include "charm/runtime.hpp"
 #include "ib/verbs.hpp"
-#include "net/fabric.hpp"
 #include "pgas/pgas.hpp"
-#include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 
 namespace ckd::harness {
 
 class PgasWorld {
  public:
-  /// Only `topology`, `netParams`, `faults`/`faultSeed`, `shards`, and
-  /// `shardThreads` of the machine config are consulted.
+  /// `machine` must use the InfiniBand layer.
   PgasWorld(const charm::MachineConfig& machine, pgas::PgasCosts costs,
-            std::size_t segmentBytes);
-  ~PgasWorld();
+            std::size_t segmentBytes)
+      : rts_(machine), pgas_(rts_.ibVerbs(), std::move(costs), segmentBytes) {}
 
   PgasWorld(const PgasWorld&) = delete;
   PgasWorld& operator=(const PgasWorld&) = delete;
 
-  pgas::Pgas& pgas() { return *pgas_; }
-  ib::IbVerbs& verbs() { return *verbs_; }
-  net::Fabric& fabric() { return *fabric_; }
-  bool windowed() const { return parallel_ != nullptr; }
-  int numPes() const { return fabric_->numPes(); }
+  charm::Runtime& runtime() { return rts_; }
+  pgas::Pgas& pgas() { return pgas_; }
+  ib::IbVerbs& verbs() { return rts_.ibVerbs(); }
+  net::Fabric& fabric() { return rts_.fabric(); }
+  int numPes() const { return rts_.numPes(); }
 
   /// Schedule `fn` at t=0 in `pe`'s execution context (setup-time only).
-  void seedOn(int pe, std::function<void()> fn);
-  /// Run `fn` in serial context at the earliest globally-safe instant.
-  void atSerialBoundary(std::function<void()> fn);
-
+  void seedOn(int pe, std::function<void()> fn) {
+    rts_.schedAt(pe, 0.0, std::move(fn));
+  }
   /// Run to quiescence.
-  void run();
-  /// Completion horizon: max clock over every engine of the machine.
-  sim::Time horizon() const;
-  std::uint64_t executedEvents() const;
-
-  /// Enable causal tracing on every engine of the machine.
-  void enableTracing(std::size_t capacity = 0);
-  /// Retained trace events, merged across shards in canonical order.
-  std::vector<sim::TraceEvent> traceEvents() const;
-
-  /// Arm streaming telemetry (mirrors charm::Runtime::enableMetrics): SLO
-  /// histograms on every engine, plus a sampled flight recorder when
-  /// `interval_us` > 0.
-  void enableMetrics(double interval_us = 0.0, std::size_t snapshots = 0);
-  bool metricsArmed() const { return metricsArmed_; }
-  /// The ckd.metrics.v1 document (series + merged SLO summary).
-  util::JsonValue metricsJson();
+  void run() { rts_.run(); }
 
  private:
-  sim::Engine engine_;
-  std::unique_ptr<sim::ParallelEngine> parallel_;
-  std::unique_ptr<net::Fabric> fabric_;
-  std::unique_ptr<ib::IbVerbs> verbs_;
-  std::unique_ptr<pgas::Pgas> pgas_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  bool metricsArmed_ = false;
+  charm::Runtime rts_;
+  pgas::Pgas pgas_;
 };
 
 }  // namespace ckd::harness

@@ -1,5 +1,6 @@
 #include "harness/pingpong.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -7,7 +8,7 @@
 #include "charm/maps.hpp"
 #include "charm/proxy.hpp"
 #include "ckdirect/ckdirect.hpp"
-#include "ib/verbs.hpp"
+#include "harness/pgas_world.hpp"
 #include "mpi/mini_mpi.hpp"
 #include "util/require.hpp"
 
@@ -144,15 +145,11 @@ double mpiPingpongImpl(const charm::MachineConfig& machine,
                        const mpi::MpiCosts& flavor, const PingpongConfig& cfg,
                        bool rdmaChannel) {
   CKD_REQUIRE(cfg.iterations > 0, "pingpong needs iterations");
-  sim::Engine engine;
-  setupTrace(engine, cfg);
-  EngineTelemetry telemetry(engine, machine);
-  net::Fabric fabric(engine, machine.topology, machine.netParams);
+  charm::Runtime rts(machine);
+  setupTrace(rts.engine(), cfg);
   // Mini-MPI rides the raw fabric (no reliability layer): armed drop faults
   // model an unreliable transport and may stall the run (see README).
-  if (machine.faults.armed())
-    fabric.installFaults(machine.faults, machine.faultSeed);
-  mpi::MiniMpi mp(fabric, flavor);
+  mpi::MiniMpi mp(rts.fabric(), flavor);
   if (rdmaChannel) mp.enableRdmaChannel();
 
   std::vector<std::byte> bufA(cfg.bytes, std::byte{0});
@@ -162,10 +159,10 @@ double mpiPingpongImpl(const charm::MachineConfig& machine,
   sim::Time sentAt = 0.0;
 
   std::function<void()> iterate = [&]() {
-    sentAt = engine.now();
+    sentAt = rts.engine().now();
     mp.irecv(cfg.peA, cfg.peB, /*tag=*/0, bufA.data(), cfg.bytes,
              [&](const mpi::MiniMpi::RecvResult&) {
-               total += engine.now() - sentAt;
+               total += rts.engine().now() - sentAt;
                if (--remaining > 0) iterate();
              });
     mp.irecv(cfg.peB, cfg.peA, /*tag=*/0, bufB.data(), cfg.bytes,
@@ -174,12 +171,9 @@ double mpiPingpongImpl(const charm::MachineConfig& machine,
              });
     mp.isend(cfg.peA, cfg.peB, /*tag=*/0, bufA.data(), cfg.bytes);
   };
-  engine.at(0.0, [&]() { iterate(); });
-  engine.run();
-  if (cfg.profile) {
-    *cfg.profile = captureFabricProfile(engine, fabric);
-    telemetry.finishInto(cfg.profile);
-  }
+  rts.seed([&]() { iterate(); });
+  rts.run();
+  if (cfg.profile) *cfg.profile = captureProfile(rts);
   return total / cfg.iterations;
 }
 
@@ -200,13 +194,9 @@ double mpiPutPingpongRtt(const charm::MachineConfig& machine,
                          const mpi::MpiCosts& flavor,
                          const PingpongConfig& cfg) {
   CKD_REQUIRE(cfg.iterations > 0, "pingpong needs iterations");
-  sim::Engine engine;
-  setupTrace(engine, cfg);
-  EngineTelemetry telemetry(engine, machine);
-  net::Fabric fabric(engine, machine.topology, machine.netParams);
-  if (machine.faults.armed())
-    fabric.installFaults(machine.faults, machine.faultSeed);
-  mpi::MiniMpi mp(fabric, flavor);
+  charm::Runtime rts(machine);
+  setupTrace(rts.engine(), cfg);
+  mpi::MiniMpi mp(rts.fabric(), flavor);
 
   std::vector<std::byte> winBufA(cfg.bytes, std::byte{0});
   std::vector<std::byte> winBufB(cfg.bytes, std::byte{0});
@@ -236,10 +226,10 @@ double mpiPutPingpongRtt(const charm::MachineConfig& machine,
 
   // A's side: expose winA for the reply, access winB for the request.
   std::function<void()> iterA = [&]() {
-    sentAt = engine.now();
+    sentAt = rts.engine().now();
     mp.winPost(winA, {cfg.peB});
     mp.winWait(winA, [&]() {
-      total += engine.now() - sentAt;
+      total += rts.engine().now() - sentAt;
       if (--remaining > 0) iterA();
     });
     mp.winStart(winB, cfg.peA, [&]() {
@@ -248,15 +238,12 @@ double mpiPutPingpongRtt(const charm::MachineConfig& machine,
     });
   };
 
-  engine.at(0.0, [&]() {
+  rts.seed([&]() {
     armB();
     iterA();
   });
-  engine.run();
-  if (cfg.profile) {
-    *cfg.profile = captureFabricProfile(engine, fabric);
-    telemetry.finishInto(cfg.profile);
-  }
+  rts.run();
+  if (cfg.profile) *cfg.profile = captureProfile(rts);
   return total / cfg.iterations;
 }
 
@@ -264,15 +251,10 @@ double pgasPingpongRtt(const charm::MachineConfig& machine,
                        const pgas::PgasCosts& costs,
                        const PingpongConfig& cfg) {
   CKD_REQUIRE(cfg.iterations > 0, "pingpong needs iterations");
-  sim::Engine engine;
-  setupTrace(engine, cfg);
-  EngineTelemetry telemetry(engine, machine);
-  net::Fabric fabric(engine, machine.topology, machine.netParams);
-  if (machine.faults.armed())
-    fabric.installFaults(machine.faults, machine.faultSeed);
-  ib::IbVerbs verbs(fabric);
-  const std::size_t segment = std::max<std::size_t>(4096, 4 * cfg.bytes);
-  pgas::Pgas pg(verbs, costs, segment);
+  PgasWorld world(machine, costs, std::max<std::size_t>(4096, 4 * cfg.bytes));
+  charm::Runtime& rts = world.runtime();
+  setupTrace(rts.engine(), cfg);
+  pgas::Pgas& pg = world.pgas();
   // Everything lives in the symmetric heap: no registration-cache traffic.
   const pgas::Gptr slot = pg.alloc(cfg.bytes);  // landing buffer, every PE
   const pgas::Gptr src = pg.alloc(cfg.bytes);   // source buffer, every PE
@@ -284,23 +266,20 @@ double pgasPingpongRtt(const charm::MachineConfig& machine,
   sim::Time sentAt = 0.0;
 
   std::function<void()> iterate = [&]() {
-    sentAt = engine.now();
+    sentAt = rts.engine().now();
     pg.putSignal(cfg.peA, cfg.peB, slot, pg.addr(cfg.peA, src), cfg.bytes,
                  [&]() {
                    // Signal watcher on peB: echo straight back.
                    pg.putSignal(cfg.peB, cfg.peA, slot, pg.addr(cfg.peB, src),
                                 cfg.bytes, [&]() {
-                                  total += engine.now() - sentAt;
+                                  total += rts.engine().now() - sentAt;
                                   if (--remaining > 0) iterate();
                                 });
                  });
   };
-  engine.at(0.0, [&]() { iterate(); });
-  engine.run();
-  if (cfg.profile) {
-    *cfg.profile = captureFabricProfile(engine, fabric);
-    telemetry.finishInto(cfg.profile);
-  }
+  world.seedOn(cfg.peA, [&]() { iterate(); });
+  world.run();
+  if (cfg.profile) *cfg.profile = captureProfile(rts);
   return total / cfg.iterations;
 }
 
@@ -308,15 +287,10 @@ double pgasBlockingPutLatency(const charm::MachineConfig& machine,
                               const pgas::PgasCosts& costs,
                               const PingpongConfig& cfg) {
   CKD_REQUIRE(cfg.iterations > 0, "pingpong needs iterations");
-  sim::Engine engine;
-  setupTrace(engine, cfg);
-  EngineTelemetry telemetry(engine, machine);
-  net::Fabric fabric(engine, machine.topology, machine.netParams);
-  if (machine.faults.armed())
-    fabric.installFaults(machine.faults, machine.faultSeed);
-  ib::IbVerbs verbs(fabric);
-  const std::size_t segment = std::max<std::size_t>(4096, 4 * cfg.bytes);
-  pgas::Pgas pg(verbs, costs, segment);
+  PgasWorld world(machine, costs, std::max<std::size_t>(4096, 4 * cfg.bytes));
+  charm::Runtime& rts = world.runtime();
+  setupTrace(rts.engine(), cfg);
+  pgas::Pgas& pg = world.pgas();
   const pgas::Gptr slot = pg.alloc(cfg.bytes);
   const pgas::Gptr src = pg.alloc(cfg.bytes);
   std::memset(pg.addr(cfg.peA, src), 1, cfg.bytes);
@@ -326,19 +300,16 @@ double pgasBlockingPutLatency(const charm::MachineConfig& machine,
   sim::Time sentAt = 0.0;
 
   std::function<void()> iterate = [&]() {
-    sentAt = engine.now();
+    sentAt = rts.engine().now();
     pg.putBlocking(cfg.peA, cfg.peB, slot, pg.addr(cfg.peA, src), cfg.bytes,
                    [&]() {
-                     total += engine.now() - sentAt;
+                     total += rts.engine().now() - sentAt;
                      if (--remaining > 0) iterate();
                    });
   };
-  engine.at(0.0, [&]() { iterate(); });
-  engine.run();
-  if (cfg.profile) {
-    *cfg.profile = captureFabricProfile(engine, fabric);
-    telemetry.finishInto(cfg.profile);
-  }
+  world.seedOn(cfg.peA, [&]() { iterate(); });
+  world.run();
+  if (cfg.profile) *cfg.profile = captureProfile(rts);
   return total / cfg.iterations;
 }
 

@@ -11,20 +11,28 @@ namespace ckd::harness {
 
 namespace {
 
-void captureTraceMetrics(ProfileReport& report, const sim::TraceRecorder& trace) {
-  for (std::size_t i = 0; i < sim::kLayerCount; ++i)
-    report.layerTime_us[i] = trace.layerTime(static_cast<sim::Layer>(i));
-  report.layerSum_us = trace.totalLayerTime();
+/// Trace-derived counters summed over every engine of the machine (one
+/// engine serially, the serial engine plus every shard under --shards).
+void captureTraceMetrics(ProfileReport& report, charm::Runtime& rts) {
+  bool tracing = false;
+  rts.forEachEngine([&report, &tracing](sim::Engine& eng) {
+    const sim::TraceRecorder& trace = eng.trace();
+    for (std::size_t i = 0; i < sim::kLayerCount; ++i)
+      report.layerTime_us[i] += trace.layerTime(static_cast<sim::Layer>(i));
+    report.layerSum_us += trace.totalLayerTime();
+    for (std::size_t i = 0; i < sim::kTraceTagCount; ++i)
+      report.tagCounts[i] += trace.count(static_cast<sim::TraceTag>(i));
+    for (std::size_t i = 0; i < report.pollHist.size(); ++i)
+      report.pollHist[i] += trace.pollQueueHistogram()[i];
+    report.rendezvousRtt_us.merge(trace.rendezvousRtt());
+    report.deliveryAttempts.merge(trace.deliveryAttempts());
+    report.traceRecorded += trace.recorded();
+    report.traceDropped += trace.dropped();
+    tracing |= trace.enabled();
+  });
   report.layerCoverage =
       report.horizon_us > 0.0 ? report.layerSum_us / report.horizon_us : 0.0;
-  for (std::size_t i = 0; i < sim::kTraceTagCount; ++i)
-    report.tagCounts[i] = trace.count(static_cast<sim::TraceTag>(i));
-  report.pollHist = trace.pollQueueHistogram();
-  report.rendezvousRtt_us = trace.rendezvousRtt();
-  report.deliveryAttempts = trace.deliveryAttempts();
-  report.traceRecorded = trace.recorded();
-  report.traceDropped = trace.dropped();
-  if (trace.enabled()) report.traceEvents = trace.snapshot();
+  if (tracing) report.traceEvents = rts.traceEvents();
   if (!report.traceEvents.empty()) {
     const sim::CausalGraph graph(report.traceEvents);
     report.causalChains = graph.chains().size();
@@ -42,7 +50,12 @@ ProfileReport captureProfile(charm::Runtime& rts) {
   ProfileReport report;
   report.pes = rts.numPes();
   report.horizon_us = rts.now();
-  for (int pe = 0; pe < report.pes; ++pe) {
+  // Scheduler stats only when some scheduler ran: the mini-MPI and PGAS
+  // pingpongs bypass the schedulers entirely.
+  bool pumped = false;
+  for (int pe = 0; pe < report.pes; ++pe)
+    pumped |= rts.scheduler(pe).pumps() > 0;
+  for (int pe = 0; pumped && pe < report.pes; ++pe) {
     report.utilization.add(
         rts.processor(pe).utilization(report.horizon_us));
     report.messagesPerPe.add(
@@ -83,53 +96,9 @@ ProfileReport captureProfile(charm::Runtime& rts) {
     report.handoffRetries = life->handoffRetries();
     report.migrationsAborted = life->migrationsAborted();
   }
-  captureTraceMetrics(report, rts.engine().trace());
+  captureTraceMetrics(report, rts);
   if (rts.metricsArmed()) report.telemetry = rts.metricsJson();
   return report;
-}
-
-ProfileReport captureFabricProfile(sim::Engine& engine, net::Fabric& fabric) {
-  ProfileReport report;
-  report.pes = fabric.numPes();
-  report.horizon_us = engine.now();
-  report.fabricMessages = fabric.messagesSubmitted();
-  report.fabricBytes = fabric.bytesSubmitted();
-  captureTraceMetrics(report, engine.trace());
-  return report;
-}
-
-EngineTelemetry::EngineTelemetry(sim::Engine& engine,
-                                 const charm::MachineConfig& machine)
-    : engine_(engine) {
-  if (machine.metricsInterval_us <= 0.0) return;
-  engine.metrics().arm();
-  flight_ = std::make_unique<obs::FlightRecorder>();
-  if (machine.metricsSnapshots != 0)
-    flight_->setCapacity(machine.metricsSnapshots);
-  flight_->setInterval(machine.metricsInterval_us);
-  flight_->addProbe("events", "1", [&engine]() {
-    return static_cast<double>(engine.executedEvents());
-  });
-  flight_->addProbe("trace.ring", "1", [&engine]() {
-    return static_cast<double>(engine.trace().ringSize());
-  });
-  for (std::size_t k = 0; k < obs::kSloCount; ++k) {
-    const auto kind = static_cast<obs::Slo>(k);
-    flight_->watch("slo." + std::string(obs::sloName(kind)),
-                   &engine.metrics().slo(kind));
-  }
-  engine.attachSampler(flight_.get());
-}
-
-EngineTelemetry::~EngineTelemetry() {
-  if (flight_ != nullptr) engine_.attachSampler(nullptr);
-}
-
-void EngineTelemetry::finishInto(ProfileReport* report) const {
-  if (report == nullptr || flight_ == nullptr) return;
-  util::JsonValue doc = flight_->toJson();
-  doc.set("slo", engine_.metrics().toJson());
-  report->telemetry = std::move(doc);
 }
 
 std::string ProfileReport::toString() const {

@@ -8,13 +8,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "charm/runtime.hpp"
-#include "obs/flight_recorder.hpp"
-#include "net/fabric.hpp"
 #include "sim/causal.hpp"
 #include "sim/trace.hpp"
 #include "util/json.hpp"
@@ -107,32 +104,6 @@ struct ProfileReport {
 
 /// Capture a report from a finished (or paused) runtime.
 ProfileReport captureProfile(charm::Runtime& rts);
-
-/// Capture from a bare engine + fabric (the mini-MPI benches have no
-/// charm::Runtime); utilization / scheduler stats stay empty.
-ProfileReport captureFabricProfile(sim::Engine& engine, net::Fabric& fabric);
-
-/// Streaming telemetry for bare-engine drivers (the mini-MPI / PGAS benches
-/// have no charm::Runtime to arm it). Construction arms the engine's SLO
-/// registry and attaches a flight recorder when the machine config carries
-/// a --metrics-interval; finishInto() lands the ckd.metrics.v1 block in the
-/// profile after the run. Destruction detaches the sampler, so the helper
-/// may die before the engine.
-class EngineTelemetry {
- public:
-  EngineTelemetry(sim::Engine& engine, const charm::MachineConfig& machine);
-  ~EngineTelemetry();
-  EngineTelemetry(const EngineTelemetry&) = delete;
-  EngineTelemetry& operator=(const EngineTelemetry&) = delete;
-
-  bool armed() const { return flight_ != nullptr; }
-  /// No-op when `report` is null or telemetry was never armed.
-  void finishInto(ProfileReport* report) const;
-
- private:
-  sim::Engine& engine_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
-};
 
 /// Serialize to the documented BENCH_*.json "profile" schema.
 util::JsonValue toJson(const ProfileReport& report);

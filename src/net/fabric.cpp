@@ -1,8 +1,6 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "sim/parallel.hpp"
@@ -195,11 +193,6 @@ sim::Time Fabric::submitEx(int srcPe, int dstPe, std::size_t bytes,
 
   if (wf.drop) return now + ser + wireLatency;
 
-  // Diagnostic: CKD_FABRIC_TRACE=1 dumps every bulk submission (T) and
-  // delivery (D) to stderr — invaluable when chasing contention questions.
-  if (std::getenv("CKD_FABRIC_TRACE") != nullptr)
-    std::fprintf(stderr, "T %.2f %d->%d %zu\n", now, srcPe, dstPe, bytes);
-
   if (wf.duplicate) {
     // The ghost copy of a bulk message skips the injection port (the
     // duplication happens inside the network, past the NIC) and lands a
@@ -245,9 +238,6 @@ sim::Time Fabric::submitEx(int srcPe, int dstPe, std::size_t bytes,
       // Queueing beyond the contention-free bound charged at submit time.
       dstEng.trace().addLayerTime(sim::Layer::kFabric,
                                   delivery - (flowStart + ser + wireLatency));
-      if (std::getenv("CKD_FABRIC_TRACE") != nullptr)
-        std::fprintf(stderr, "D %.2f node=%d ser=%.1f\n", delivery, dstNode,
-                     ser);
       dstEng.at(delivery, std::move(onDeliver));
     };
     scheduleArrival(dstPe, srcPe, arrival, std::move(eject));

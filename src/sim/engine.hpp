@@ -157,16 +157,6 @@ class Engine {
   std::size_t pendingEvents() const { return heap_.size() + inbox_.size(); }
   std::uint64_t executedEvents() const { return executed_; }
 
-  /// Pre-size the slab (heap entries, action slots, free list) so a known
-  /// fan-in never grows a vector mid-window. ParallelEngine sizes each
-  /// shard's slab from Config::slotReserve.
-  void reserveSlots(std::size_t n) {
-    if (n <= slots_.capacity()) return;
-    heap_.reserve(n);
-    slots_.reserve(n);
-    freeSlots_.reserve(n);
-  }
-
   /// Events executed by every engine in this process — the numerator of the
   /// events/sec number harness::BenchRunner reports. Relaxed atomic: with
   /// one engine per shard thread the plain counter was a data race (and

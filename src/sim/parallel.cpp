@@ -44,10 +44,7 @@ ParallelEngine::ParallelEngine(Config cfg, std::vector<int> shardOfPe)
       arrivalMin_(shards_.size(), kInf) {
   for (const int s : shardOfPe_)
     CKD_REQUIRE(s >= 0 && s < cfg.shards, "PE mapped to an out-of-range shard");
-  for (auto& sh : shards_) {
-    sh.outStage.resize(shards_.size());
-    if (cfg.slotReserve != 0) sh.engine.reserveSlots(cfg.slotReserve);
-  }
+  for (auto& sh : shards_) sh.outStage.resize(shards_.size());
   if (adaptive_) buildClosure(cfg.pairLookahead);
 
   int want = cfg.threads > 0

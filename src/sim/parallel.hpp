@@ -91,8 +91,6 @@ class ParallelEngine {
     bool pinThreads = false;
     /// Events a shard executes between mid-window inbound-ring drains.
     std::uint64_t drainStride = 256;
-    /// Pre-size each shard engine's slab (0 = engine default).
-    std::size_t slotReserve = 0;
   };
 
   /// Aggregated ring counters (cross-shard + serial rings).

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "harness/machines.hpp"
@@ -15,7 +16,10 @@
 namespace ckd {
 namespace {
 
-enum Variant {
+// gtest prints a Cell as its raw bytes, and ctest names each case after that
+// dump. The 64-bit underlying type leaves Cell without padding, so no
+// indeterminate bytes reach the test names and they are the same every build.
+enum Variant : std::uint64_t {
   kCharmDefault,
   kCharmCkDirect,
   kMpichVmi,
@@ -30,6 +34,8 @@ struct Cell {
   std::size_t bytes;
   double paperRtt;
 };
+static_assert(sizeof(Cell) ==
+              sizeof(Variant) + sizeof(std::size_t) + sizeof(double));
 
 double measureIb(Variant variant, std::size_t bytes) {
   const charm::MachineConfig machine = harness::abeMachine(2, 1);

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "ckdirect/ckdirect.hpp"
+#include "fault/fault.hpp"
+#include "harness/bench_runner.hpp"
 #include "harness/machines.hpp"
+#include "harness/pgas_world.hpp"
 #include "harness/pingpong.hpp"
 #include "harness/profile.hpp"
 #include "mpi/mpi_costs.hpp"
+#include "util/args.hpp"
 
 namespace ckd::harness {
 namespace {
@@ -137,6 +141,60 @@ TEST(Profile, NoCkDirectSectionWithoutChannels) {
   const ProfileReport report = captureProfile(rts2);
   EXPECT_EQ(report.ckdirectPuts, 0u);
   EXPECT_EQ(report.toString().find("ckdirect"), std::string::npos);
+}
+
+TEST(Profile, ShardedTagCountsCoverEveryEngine) {
+  // The trace counters live on whichever engine executed the event; under
+  // --shards that is mostly the shard engines, so the profile must sum them
+  // all to match the classic engine's counts.
+  const auto profileWithShards = [](int shards) {
+    charm::MachineConfig machine = abeMachine(2, 1);
+    machine.shards = shards;
+    machine.shardThreads = 1;
+    ProfileReport report;
+    PingpongConfig cfg;
+    cfg.bytes = 100;
+    cfg.iterations = 20;
+    cfg.profile = &report;
+    charmPingpongRtt(machine, cfg);
+    return report;
+  };
+  const ProfileReport serial = profileWithShards(0);
+  const ProfileReport sharded = profileWithShards(2);
+  ASSERT_EQ(sharded.shards, 2);
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : sharded.tagCounts) total += n;
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(sharded.tagCounts, serial.tagCounts);
+  EXPECT_GT(sharded.layerSum_us, 0.0);
+}
+
+TEST(PgasWorldDeath, ShardsRejectWireFaults) {
+  charm::MachineConfig machine = abeMachine(2, 1);
+  machine.shards = 2;
+  machine.faults = fault::parseFaultSpec("drop:0.05");
+  EXPECT_DEATH({ PgasWorld world(machine, pgas::dartIbCosts(), 4096); },
+               "--shards supports fail-stop \\(pe_crash\\) fault plans only");
+}
+
+TEST(BenchRunnerDeath, UnappliedShardsRejected) {
+  const char* argv[] = {"bench", "--shards", "2"};
+  const util::Args args(3, argv);
+  EXPECT_DEATH(BenchRunner("bench", args).finish(),
+               "--shards is not supported by this bench");
+}
+
+TEST(BenchRunner, AppliedShardsAccepted) {
+  const char* argv[] = {"bench", "--shards", "2"};
+  const util::Args args(3, argv);
+  BenchRunner applied("bench", args);
+  charm::MachineConfig machine = abeMachine(4, 1);
+  applied.applyEngine(machine);
+  EXPECT_EQ(machine.shards, 2);
+  EXPECT_EQ(applied.finish(), 0);
+  BenchRunner read("bench", args);
+  EXPECT_EQ(read.shards(), 2);
+  EXPECT_EQ(read.finish(), 0);
 }
 
 }  // namespace

@@ -507,7 +507,7 @@ PgasStormResult runPgasStorm(int shards, int threads) {
   machine.shardThreads = threads;
   constexpr std::size_t kSeg = 32 * 1024;
   harness::PgasWorld world(machine, pgas::dartIbCosts(), kSeg);
-  world.enableTracing();
+  world.runtime().enableTracing();
   pgas::Pgas& pg = world.pgas();
   const pgas::Gptr cells = pg.alloc(8 * 8);
   const pgas::Gptr block = pg.alloc(512);
@@ -532,8 +532,8 @@ PgasStormResult runPgasStorm(int shards, int threads) {
   world.run();
 
   PgasStormResult r;
-  r.horizon = world.horizon();
-  r.events = world.executedEvents();
+  r.horizon = world.runtime().now();
+  r.events = world.runtime().executedEvents();
   std::uint64_t h = 1469598103934665603ull;
   for (int p = 0; p < n; ++p) h = fnv(pg.addr(p, pgas::Gptr{0, kSeg}), kSeg, h);
   r.segments = h;
@@ -541,7 +541,7 @@ PgasStormResult runPgasStorm(int shards, int threads) {
                                   pg.atomicsIssued(), pg.bytesPut(),
                                   pg.failedOps(),   pg.barriersCompleted()};
   r.counters = fnv(counts, sizeof counts);
-  r.trace = traceDigest(world.traceEvents());
+  r.trace = traceDigest(world.runtime().traceEvents());
   return r;
 }
 
