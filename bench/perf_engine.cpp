@@ -123,13 +123,12 @@ class StormChare final : public charm::Chare {
 /// `recordTo` receives the per-shard counters for the host JSON.
 ScenarioResult runStorm(int pairs, int iterations, std::size_t bytes,
                         int pesPerNode = 4, int shards = 0,
-                        int shardThreads = 0, bool pinThreads = false,
+                        int shardThreads = 0,
                         harness::BenchRunner* recordTo = nullptr,
                         const char* label = "storm") {
   charm::MachineConfig machine = harness::abeMachine(2 * pairs, pesPerNode);
   machine.shards = shards;
   machine.shardThreads = shardThreads;
-  machine.pinShardThreads = pinThreads;
   if (recordTo != nullptr) recordTo->applyMetrics(machine);
   charm::Runtime rts(machine);
   auto proxy = charm::makeArray<StormChare>(
@@ -197,8 +196,7 @@ int main(int argc, char** argv) {
   const ScenarioResult churn = runChurn(churnEvents, churnTimers);
   const ScenarioResult storm =
       runStorm(stormPairs, stormIters, stormBytes, /*pesPerNode=*/4,
-               /*shards=*/0, /*shardThreads=*/0, /*pinThreads=*/false,
-               &runner, "storm");
+               /*shards=*/0, /*shardThreads=*/0, &runner, "storm");
 
   // Sharded A/B on a one-PE-per-node machine: the serial floor and the
   // parallel engine run the identical workload (the determinism gate in
@@ -207,11 +205,11 @@ int main(int argc, char** argv) {
   const bool sharded = runner.shards() > 0;
   if (sharded) {
     stormSer = runStorm(stormPairs, stormIters, stormBytes, /*pesPerNode=*/1,
-                        /*shards=*/0, /*shardThreads=*/0, /*pinThreads=*/false,
-                        &runner, "storm-ser");
+                        /*shards=*/0, /*shardThreads=*/0, &runner,
+                        "storm-ser");
     stormPar = runStorm(stormPairs, stormIters, stormBytes, /*pesPerNode=*/1,
-                        runner.shards(), runner.shardThreads(),
-                        runner.pinThreads(), &runner, "storm-par");
+                        runner.shards(), runner.shardThreads(), &runner,
+                        "storm-par");
   }
 
   struct Row {

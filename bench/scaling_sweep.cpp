@@ -76,13 +76,11 @@ struct CellResult {
 };
 
 CellResult runCell(int pes, int itersPerPair, std::size_t bytes, int shards,
-                   int shardThreads, bool pinThreads,
-                   harness::BenchRunner* recordTo) {
+                   int shardThreads, harness::BenchRunner* recordTo) {
   const int pairs = pes / 2;
   charm::MachineConfig machine = harness::abeMachine(pes, /*pesPerNode=*/1);
   machine.shards = shards;
   machine.shardThreads = shardThreads;
-  machine.pinShardThreads = pinThreads;
   if (recordTo != nullptr) recordTo->applyMetrics(machine);
   charm::Runtime rts(machine);
   auto proxy = charm::makeArray<SweepChare>(
@@ -157,7 +155,7 @@ int main(int argc, char** argv) {
         const CellResult cell = runCell(
             static_cast<int>(pes), itersPerPair, bytes,
             static_cast<int>(shards), runner.shardThreads(),
-            runner.pinThreads(), shards > 0 ? &runner : nullptr);
+            shards > 0 ? &runner : nullptr);
         std::printf(
             "%-6s pes %7lld shards %2lld threads %2d  %12llu events  "
             "%8.3f s  %12.0f events/sec\n",

@@ -8,7 +8,6 @@
 #include "charm/marshal.hpp"
 #include "charm/transport.hpp"
 #include "dcmf/dcmf.hpp"
-#include "net/lookahead.hpp"
 #include "ib/verbs.hpp"
 #include "obs/flight_recorder.hpp"
 #include "util/pool.hpp"
@@ -37,17 +36,6 @@ Runtime::Runtime(MachineConfig config) : config_(std::move(config)) {
     pcfg.shards = nShards;
     pcfg.threads = config_.shardThreads;
     pcfg.lookahead = config_.netParams.wireLatencyFloor();
-    pcfg.pinThreads = config_.pinShardThreads;
-    // Adaptive per-destination windows need a serial-quiet workload: fault
-    // injection, checkpointing, and the elastic lifecycle all schedule
-    // serial events from shard context, which only global windows can
-    // order partition-independently. Everything else gets the per-pair
-    // lookahead matrix (topology hop floors) and wider windows.
-    pcfg.adaptive = !config_.faults.armed() && !config_.elastic &&
-                    config_.scalePlan.empty();
-    if (pcfg.adaptive)
-      pcfg.pairLookahead = net::shardLookaheadMatrix(
-          topo, config_.netParams, shardOf, nShards);
     parallel_ = std::make_unique<sim::ParallelEngine>(pcfg, std::move(shardOf));
     // Chain ids and message sequences switch to per-PE minting so they are
     // functions of per-PE order alone (partition-independent).

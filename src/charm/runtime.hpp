@@ -61,10 +61,6 @@ struct MachineConfig {
   int shards = 0;
   /// Worker threads for the sharded engine; 0 = min(shards, host cores).
   int shardThreads = 0;
-  /// Pin shard worker threads (and the coordinator) to CPUs
-  /// (--pin-threads). Best effort; the achieved count lands in the bench
-  /// host JSON.
-  bool pinShardThreads = false;
   /// Virtual time between fail-stop heartbeats (--heartbeat-period).
   sim::Time heartbeatPeriod_us = 5.0;
   /// Consecutive silent beat periods before a PE is declared dead

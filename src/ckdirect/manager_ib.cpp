@@ -16,7 +16,7 @@ IbManager::IbManager(charm::Runtime& rts)
               "too many PEs for the CkDirect handle encoding");
   byPe_.resize(static_cast<std::size_t>(rts.numPes()));
   pollQueue_.resize(static_cast<std::size_t>(rts.numPes()));
-  hookInstalled_.assign(static_cast<std::size_t>(rts.numPes()), false);
+  hookInstalled_.assign(static_cast<std::size_t>(rts.numPes()), 0);
   rts_.setReestablishHook([this]() { reestablish(); });
   rts_.setGrowHook([this]() { onPesGrown(); });
 }
@@ -26,7 +26,7 @@ void IbManager::onPesGrown() {
               "too many PEs for the CkDirect handle encoding");
   byPe_.resize(static_cast<std::size_t>(rts_.numPes()));
   pollQueue_.resize(static_cast<std::size_t>(rts_.numPes()));
-  hookInstalled_.resize(static_cast<std::size_t>(rts_.numPes()), false);
+  hookInstalled_.resize(static_cast<std::size_t>(rts_.numPes()), 0);
 }
 
 IbManager::Channel& IbManager::channel(std::int32_t id) {
@@ -136,7 +136,7 @@ std::int32_t IbManager::createStridedHandle(int receiverPe, void* base,
 
 void IbManager::ensurePollHook(int pe) {
   if (hookInstalled_[static_cast<std::size_t>(pe)]) return;
-  hookInstalled_[static_cast<std::size_t>(pe)] = true;
+  hookInstalled_[static_cast<std::size_t>(pe)] = 1;
   rts_.scheduler(pe).setPollHook([this, pe] { pollScan(pe); });
 }
 

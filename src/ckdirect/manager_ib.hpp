@@ -165,7 +165,10 @@ class IbManager final : public Manager {
   /// phase — so shard-concurrent channel lookups never race a resize.
   std::vector<std::unique_ptr<PeChannels>> byPe_;
   std::vector<std::vector<std::int32_t>> pollQueue_;  // per PE
-  std::vector<bool> hookInstalled_;                   // per PE
+  /// Per PE, one byte each: PEs of different shards set their flags
+  /// concurrently, and std::vector<bool> would pack neighbours into one
+  /// word (a read-modify-write race across the shard boundary).
+  std::vector<std::uint8_t> hookInstalled_;
   /// Host-stat counters: puts tick on sender shards, scans/callbacks on
   /// receiver shards; the channels themselves are touched by at most one
   /// shard per window (sender and receiver sides alternate across windows).

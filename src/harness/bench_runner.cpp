@@ -39,29 +39,38 @@ BenchRunner::BenchRunner(std::string name, const util::Args& args)
   tracePath_ = args.get("trace-dump", "");
   perfettoPath_ = args.get("trace-perfetto", "");
   traceFilter_ = TraceFilter::parse(args.get("trace-filter", ""));
-  traceCap_ = static_cast<std::size_t>(args.getInt(
+  // Numeric flags are range-checked as signed values before any cast, so a
+  // negative count cannot wrap to a huge size_t and a negative period is
+  // refused instead of silently keeping the default.
+  const std::int64_t traceCap = args.getInt(
       "trace-cap",
-      static_cast<std::int64_t>(sim::TraceRecorder::kDefaultCapacity)));
-  CKD_REQUIRE(traceCap_ > 0, "--trace-cap must be positive");
+      static_cast<std::int64_t>(sim::TraceRecorder::kDefaultCapacity));
+  CKD_REQUIRE(traceCap > 0, "--trace-cap must be positive");
+  traceCap_ = static_cast<std::size_t>(traceCap);
   const std::string faultSpec = args.get("faults", "");
   if (!faultSpec.empty()) faultPlan_ = fault::parseFaultSpec(faultSpec);
   faultSeed_ = static_cast<std::uint64_t>(args.getInt("fault-seed", 1));
   checkpointPeriod_ = args.getDouble("checkpoint-period", -1.0);
-  CKD_REQUIRE(checkpointPeriod_ != 0.0, "--checkpoint-period must be positive");
+  CKD_REQUIRE(!args.has("checkpoint-period") || checkpointPeriod_ > 0.0,
+              "--checkpoint-period must be positive");
   heartbeatPeriod_ = args.getDouble("heartbeat-period", -1.0);
-  CKD_REQUIRE(heartbeatPeriod_ != 0.0, "--heartbeat-period must be positive");
-  heartbeatMisses_ = static_cast<int>(args.getInt("heartbeat-misses", 0));
-  CKD_REQUIRE(heartbeatMisses_ >= 0, "--heartbeat-misses must be positive");
+  CKD_REQUIRE(!args.has("heartbeat-period") || heartbeatPeriod_ > 0.0,
+              "--heartbeat-period must be positive");
+  const std::int64_t heartbeatMisses = args.getInt("heartbeat-misses", 0);
+  CKD_REQUIRE(!args.has("heartbeat-misses") || heartbeatMisses > 0,
+              "--heartbeat-misses must be positive");
+  heartbeatMisses_ = static_cast<int>(heartbeatMisses);
   scalePlan_ = args.get("scale-plan", "");
   shards_ = static_cast<int>(args.getInt("shards", 0));
   CKD_REQUIRE(shards_ >= 0, "--shards must be non-negative");
   shardThreads_ = static_cast<int>(args.getInt("shard-threads", 0));
   CKD_REQUIRE(shardThreads_ >= 0, "--shard-threads must be non-negative");
-  pinThreads_ = args.getBool("pin-threads", false);
   metricsInterval_ = args.getDouble("metrics-interval", 0.0);
   CKD_REQUIRE(metricsInterval_ >= 0.0, "--metrics-interval must be >= 0");
-  metricsSnapshots_ =
-      static_cast<std::size_t>(args.getInt("metrics-snapshots", 0));
+  const std::int64_t metricsSnapshots = args.getInt("metrics-snapshots", 0);
+  CKD_REQUIRE(!args.has("metrics-snapshots") || metricsSnapshots > 0,
+              "--metrics-snapshots must be positive");
+  metricsSnapshots_ = static_cast<std::size_t>(metricsSnapshots);
 
   // Host-performance baseline: everything in hostJson() is measured relative
   // to runner construction, so flag parsing and static init stay out of the
@@ -126,7 +135,6 @@ void BenchRunner::applyEngine(charm::MachineConfig& machine) const {
   if (shards_ <= 0) return;
   machine.shards = shards_;
   machine.shardThreads = shardThreads_;
-  machine.pinShardThreads = pinThreads_;
 }
 
 void BenchRunner::applyMetrics(charm::MachineConfig& machine) const {
@@ -150,9 +158,6 @@ void BenchRunner::recordShardStats(const charm::Runtime& rts) {
   stats.set("events", std::move(events));
   stats.set("serial_events", util::JsonValue(static_cast<double>(
                                  par->serialEngine().executedEvents())));
-  stats.set("adaptive", util::JsonValue(par->adaptive()));
-  stats.set("pinned_threads",
-            util::JsonValue(static_cast<double>(par->pinnedThreads())));
   const sim::ParallelEngine::RingStats rings = par->ringStats();
   util::JsonValue ring = util::JsonValue::object();
   ring.set("pushes", util::JsonValue(static_cast<double>(rings.pushes)));

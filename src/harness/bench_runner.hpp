@@ -36,8 +36,6 @@
 //   --shard-threads <n> host worker threads driving the shards (0 = one per
 //                       shard up to hardware concurrency; 1 = sequential
 //                       shard execution, useful for determinism A/B)
-//   --pin-threads       pin shard worker threads (and the coordinator) to
-//                       CPUs; the achieved pin count lands in the host JSON
 //   --metrics-interval <us>
 //                       arm streaming telemetry: SLO histograms on every
 //                       engine plus a flight-recorder snapshot of every
@@ -47,6 +45,11 @@
 //   --metrics-snapshots <n>
 //                       flight-recorder ring capacity (default 512; oldest
 //                       snapshots drop once full)
+//
+// When given, --trace-cap, --metrics-snapshots, --checkpoint-period,
+// --heartbeat-period and --heartbeat-misses must be positive, and --shards,
+// --shard-threads and --metrics-interval non-negative; anything else aborts
+// via CKD_REQUIRE.
 //
 // Usage:
 //   util::Args args(argc, argv);
@@ -116,8 +119,6 @@ class BenchRunner {
     return shards_;
   }
   int shardThreads() const { return shardThreads_; }
-  /// --pin-threads flag.
-  bool pinThreads() const { return pinThreads_; }
   /// Copy --shards / --shard-threads into a MachineConfig (no-op when
   /// --shards was not given, leaving the classic serial engine).
   void applyEngine(charm::MachineConfig& machine) const;
@@ -179,7 +180,6 @@ class BenchRunner {
   int shards_ = 0;                  ///< 0: classic serial engine
   mutable bool shardsRead_ = false; ///< shards() / applyEngine() was called
   int shardThreads_ = 0;            ///< 0: one thread per shard
-  bool pinThreads_ = false;         ///< pin shard workers to CPUs
   double metricsInterval_ = 0.0;    ///< 0: streaming telemetry off
   std::size_t metricsSnapshots_ = 0;  ///< 0: FlightRecorder default
   util::JsonValue shardStats_;      ///< recordShardStats() snapshot (or null)

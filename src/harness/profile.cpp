@@ -81,8 +81,6 @@ ProfileReport captureProfile(charm::Runtime& rts) {
   if (const sim::ParallelEngine* par = rts.parallelEngine()) {
     report.shards = par->shards();
     report.windows = par->windows();
-    report.adaptiveWindows = par->adaptive();
-    report.pinnedThreads = par->pinnedThreads();
     const sim::ParallelEngine::RingStats rings = par->ringStats();
     report.ringPushes = rings.pushes;
     report.ringBatches = rings.batches;
@@ -178,12 +176,9 @@ std::string ProfileReport::toString() const {
         << "\n";
   }
   if (shards > 0) {
-    out << "  shards        " << shards << " over " << windows << " windows ("
-        << (adaptiveWindows ? "adaptive" : "global") << " ceilings); ring "
-        << ringPushes << " pushes in " << ringBatches << " batches, "
-        << ringOverflow << " overflowed";
-    if (pinnedThreads > 0) out << "; " << pinnedThreads << " threads pinned";
-    out << "\n";
+    out << "  shards        " << shards << " over " << windows
+        << " windows; ring " << ringPushes << " pushes in " << ringBatches
+        << " batches, " << ringOverflow << " overflowed\n";
   }
   if (scaleOuts > 0 || drainsCompleted > 0 || migrationsAborted > 0) {
     out << "  lifecycle     " << scaleOuts << " scale-outs, "
@@ -334,8 +329,6 @@ util::JsonValue toJson(const ProfileReport& report) {
     JsonValue eng = JsonValue::object();
     eng.set("shards", JsonValue(report.shards));
     eng.set("windows", JsonValue(report.windows));
-    eng.set("adaptive", JsonValue(report.adaptiveWindows));
-    eng.set("pinned_threads", JsonValue(report.pinnedThreads));
     JsonValue ring = JsonValue::object();
     ring.set("pushes", JsonValue(report.ringPushes));
     ring.set("batches", JsonValue(report.ringBatches));

@@ -41,11 +41,9 @@ struct ProfileReport {
   sim::Time heartbeatPeriodUs = 0.0;   ///< effective --heartbeat-period
   int heartbeatMisses = 0;             ///< effective --heartbeat-misses
 
-  /// Parallel-engine counters (all zero/false on classic serial runs).
+  /// Parallel-engine counters (all zero on classic serial runs).
   int shards = 0;                      ///< 0 when the serial engine ran
   std::uint64_t windows = 0;           ///< conservative windows executed
-  bool adaptiveWindows = false;        ///< per-destination LBTS ceilings on
-  int pinnedThreads = 0;               ///< workers pinned via --pin-threads
   std::uint64_t ringPushes = 0;        ///< cross-shard ring entries published
   std::uint64_t ringBatches = 0;       ///< release-stores that published them
   std::uint64_t ringOverflow = 0;      ///< entries spilled to chained segments

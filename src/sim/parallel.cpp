@@ -6,11 +6,6 @@
 
 #include "obs/flight_recorder.hpp"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace ckd::sim {
 
 thread_local int ParallelEngine::tlsShard_ = -1;
@@ -31,31 +26,22 @@ std::size_t checkedShardCount(const ParallelEngine::Config& cfg) {
 
 ParallelEngine::ParallelEngine(Config cfg, std::vector<int> shardOfPe)
     : lookahead_(cfg.lookahead),
-      adaptive_(cfg.adaptive),
       drainStride_(cfg.drainStride == 0 ? 1 : cfg.drainStride),
       shardOfPe_(std::move(shardOfPe)),
       shards_(checkedShardCount(cfg)),
       rings_(shards_.size() * shards_.size()),
       serialRings_(shards_.size()),
       pushSeq_(shardOfPe_.size() + 1, 0),
-      mintCounters_(shardOfPe_.size() + 1, 0),
-      bounds_(shards_.size() * shards_.size()),
-      ceilings_(shards_.size(), 0.0),
-      arrivalMin_(shards_.size(), kInf) {
+      mintCounters_(shardOfPe_.size() + 1, 0) {
   for (const int s : shardOfPe_)
     CKD_REQUIRE(s >= 0 && s < cfg.shards, "PE mapped to an out-of-range shard");
   for (auto& sh : shards_) sh.outStage.resize(shards_.size());
-  if (adaptive_) buildClosure(cfg.pairLookahead);
 
   int want = cfg.threads > 0
                  ? cfg.threads
                  : static_cast<int>(std::thread::hardware_concurrency());
   if (want < 1) want = 1;
   threadCount_ = std::min(want, static_cast<int>(shards_.size()));
-  pinThreads_ = cfg.pinThreads;
-  // The constructing thread is the coordinator (worker 0); pin it too so
-  // the round barrier partners never migrate away from each other.
-  if (pinThreads_) pinThread(0);
   workers_.reserve(static_cast<std::size_t>(threadCount_ - 1));
   for (int k = 1; k < threadCount_; ++k)
     workers_.emplace_back([this, k] { workerLoop(k); });
@@ -66,52 +52,6 @@ ParallelEngine::~ParallelEngine() {
   startGen_.fetch_add(1, std::memory_order_release);
   for (auto& w : workers_)
     if (w.joinable()) w.join();
-}
-
-void ParallelEngine::buildClosure(const std::vector<Time>& pairLookahead) {
-  const std::size_t n = shards_.size();
-  closure_.assign(n * n, kInf);
-  if (pairLookahead.empty()) {
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        if (i != j) closure_[i * n + j] = lookahead_;
-  } else {
-    CKD_REQUIRE(pairLookahead.size() == n * n,
-                "pair lookahead matrix must be shards x shards");
-    for (std::size_t i = 0; i < n * n; ++i) {
-      CKD_REQUIRE(pairLookahead[i] > 0.0,
-                  "pair lookahead entries must be positive");
-      closure_[i] = pairLookahead[i];
-    }
-  }
-  // Min-plus transitive closure over walks of length >= 1 (Floyd-Warshall
-  // with a +inf diagonal seed): D[i][j] lower-bounds every relay chain
-  // i -> ... -> j, and D[i][i] becomes the cheapest round trip through the
-  // other shards — the bound that makes per-destination ceilings safe
-  // against a shard's own reflected influence.
-  for (std::size_t k = 0; k < n; ++k)
-    for (std::size_t i = 0; i < n; ++i) {
-      const Time ik = closure_[i * n + k];
-      if (ik == kInf) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        const Time via = ik + closure_[k * n + j];
-        if (via < closure_[i * n + j]) closure_[i * n + j] = via;
-      }
-    }
-}
-
-void ParallelEngine::pinThread(int workerIndex) {
-#ifdef __linux__
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(workerIndex) % hw, &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0)
-    pinnedThreads_.fetch_add(1, std::memory_order_relaxed);
-#else
-  (void)workerIndex;
-#endif
 }
 
 // ---- SpscRing ----
@@ -224,17 +164,6 @@ void ParallelEngine::growPes(const std::vector<int>& shardOfNewPes) {
   // is race-free; recorders hold the vector's address, which is stable.
   pushSeq_.resize(shardOfPe_.size() + 1, 0);
   mintCounters_.resize(shardOfPe_.size() + 1, 0);
-  if (adaptive_) {
-    // New PEs may occupy new nodes, so per-pair floors derived from the old
-    // node ranges are stale. Collapse to the uniform-floor closure — the
-    // floor under-estimates every pair, so this only shrinks windows.
-    const std::size_t n = shards_.size();
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        closure_[i * n + j] = i == j ? (n >= 2 ? 2 * lookahead_ : kInf)
-                                     : lookahead_;
-    boundsValid_ = false;
-  }
 }
 
 void ParallelEngine::stageSerial(int dstShard, Time when,
@@ -266,9 +195,8 @@ void ParallelEngine::drainInbound(int shard) {
   const int n = shards();
   for (int s = 0; s < n; ++s)
     if (s != shard) rings_[ringIndex(s, shard)].drainInto(scratch);
-  const Time floor = ceilings_[static_cast<std::size_t>(shard)];
   for (auto& e : scratch) {
-    CKD_REQUIRE(e.when >= floor,
+    CKD_REQUIRE(e.when >= windowCeiling_,
                 "cross-shard event violates the conservative lookahead");
     sh.engine.postArrival(e.when, e.srcPe, e.srcSeq, std::move(e.action));
   }
@@ -288,7 +216,6 @@ bool canonicalBefore(Time aWhen, std::int32_t aPe, std::uint64_t aSeq,
 
 void ParallelEngine::reconcile() {
   const int n = shards();
-  std::fill(arrivalMin_.begin(), arrivalMin_.end(), kInf);
   // Straggler cross-shard arrivals (published after the destination's final
   // mid-window drain) plus the coordinator's serial-phase staging, moved
   // into the destination inboxes. No sort: the inbox heap canonicalizes on
@@ -303,33 +230,14 @@ void ParallelEngine::reconcile() {
     staged.clear();
     if (scratch.empty()) continue;
     Engine& eng = shards_[static_cast<std::size_t>(d)].engine;
-    const Time floor = ceilings_[static_cast<std::size_t>(d)];
-    Time& minArrival = arrivalMin_[static_cast<std::size_t>(d)];
     for (auto& e : scratch) {
-      CKD_REQUIRE(e.when >= floor,
+      CKD_REQUIRE(e.when >= windowCeiling_,
                   "cross-shard event violates the conservative lookahead");
-      minArrival = std::min(minArrival, e.when);
       eng.postArrival(e.when, e.srcPe, e.srcSeq, std::move(e.action));
     }
   }
-  // Stragglers lower the destination shard's pending-work bound, so fold
-  // them into its published pair bounds before ceilings are computed.
-  if (adaptive_ && boundsValid_) {
-    const std::size_t un = static_cast<std::size_t>(n);
-    for (std::size_t d = 0; d < un; ++d) {
-      const Time t = arrivalMin_[d];
-      if (t == kInf) continue;
-      for (std::size_t y = 0; y < un; ++y) {
-        auto& bound = bounds_[d * un + y];
-        const Time via = t + closure_[d * un + y];
-        if (via < bound.load(std::memory_order_relaxed))
-          bound.store(via, std::memory_order_relaxed);
-      }
-    }
-  }
-  // Shard-issued serial events (global mode only). Boundary events resolve
-  // to the ceiling of the window that produced them (partition-independent
-  // by construction).
+  // Shard-issued serial events. Boundary events resolve to the ceiling of
+  // the window that produced them (partition-independent by construction).
   auto& scratch = drainScratch_;
   scratch.clear();
   for (int s = 0; s < n; ++s)
@@ -349,41 +257,6 @@ void ParallelEngine::reconcile() {
   }
 }
 
-// ---- adaptive bounds ----
-
-void ParallelEngine::publishBounds(int shard) {
-  const std::size_t n = shards_.size();
-  const std::size_t s = static_cast<std::size_t>(shard);
-  const Time local = shards_[s].engine.nextEventTime();
-  for (std::size_t d = 0; d < n; ++d)
-    bounds_[s * n + d].store(local + closure_[s * n + d],
-                             std::memory_order_release);
-}
-
-void ParallelEngine::recomputeBounds() {
-  const std::size_t n = shards_.size();
-  for (std::size_t s = 0; s < n; ++s) {
-    const Time local = shards_[s].engine.nextEventTime();
-    for (std::size_t d = 0; d < n; ++d)
-      bounds_[s * n + d].store(local + closure_[s * n + d],
-                               std::memory_order_relaxed);
-  }
-  boundsValid_ = true;
-}
-
-Time ParallelEngine::computeCeilings(Time serialNext) {
-  const std::size_t n = shards_.size();
-  Time maxC = 0.0;
-  for (std::size_t d = 0; d < n; ++d) {
-    Time c = serialNext;
-    for (std::size_t s = 0; s < n; ++s)
-      c = std::min(c, bounds_[s * n + d].load(std::memory_order_relaxed));
-    ceilings_[d] = c;
-    maxC = std::max(maxC, c);
-  }
-  return maxC;
-}
-
 // ---- round loop ----
 
 Time ParallelEngine::minShardNext() const {
@@ -392,7 +265,7 @@ Time ParallelEngine::minShardNext() const {
   return m;
 }
 
-void ParallelEngine::runShardWindow(int shard, Time ceiling) {
+void ParallelEngine::runShardWindow(int shard) {
   tlsShard_ = shard;
   tlsSerialSrcPe_ = -1;
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
@@ -400,16 +273,15 @@ void ParallelEngine::runShardWindow(int shard, Time ceiling) {
   // Chunked window: every drainStride_ events, publish pending outbound
   // batches (so consumers can pre-stage them) and pull inbound rings into
   // the inbox. Conservatism guarantees drained entries are at or beyond
-  // this shard's ceiling, so mid-window drains never add work to the
+  // the window ceiling, so mid-window drains never add work to the
   // running window — they only keep rings shallow and move the merge off
   // the barrier.
-  while (sh.engine.runWindow(ceiling, drainStride_)) {
+  while (sh.engine.runWindow(windowCeiling_, drainStride_)) {
     flushOutbound(shard);
     drainInbound(shard);
   }
   flushOutbound(shard);
   drainInbound(shard);
-  if (adaptive_) publishBounds(shard);
   util::BufferPool::swapCurrent(prevPool);
   tlsShard_ = -1;
   tlsSerialSrcPe_ = -1;
@@ -421,14 +293,14 @@ void ParallelEngine::executeRound() {
     // partition, same rings, same canonical merges — bit-identical results,
     // zero synchronization.
     for (int i = 0; i < shards(); ++i)
-      runShardWindow(i, ceilings_[static_cast<std::size_t>(i)]);
+      runShardWindow(i);
     return;
   }
   doneCount_.store(0, std::memory_order_relaxed);
   startGen_.fetch_add(1, std::memory_order_release);
   // The coordinator doubles as worker 0.
   for (int i = 0; i < shards(); i += threadCount_)
-    runShardWindow(i, ceilings_[static_cast<std::size_t>(i)]);
+    runShardWindow(i);
   const int expect = threadCount_ - 1;
   for (int spins = 0;
        doneCount_.load(std::memory_order_acquire) != expect;) {
@@ -440,7 +312,6 @@ void ParallelEngine::executeRound() {
 }
 
 void ParallelEngine::workerLoop(int workerIndex) {
-  if (pinThreads_) pinThread(workerIndex);
   std::uint64_t seen = 0;
   for (;;) {
     std::uint64_t gen;
@@ -454,7 +325,7 @@ void ParallelEngine::workerLoop(int workerIndex) {
     seen = gen;
     if (quit_.load(std::memory_order_acquire)) return;
     for (int i = workerIndex; i < shards(); i += threadCount_)
-      runShardWindow(i, ceilings_[static_cast<std::size_t>(i)]);
+      runShardWindow(i);
     doneCount_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -475,10 +346,8 @@ void ParallelEngine::run() {
       for (auto& sh : shards_) sh.engine.pinNow(h);
       serial_.pinNow(h);
       windowCeiling_ = h;
-      std::fill(ceilings_.begin(), ceilings_.end(), h);
       for (auto& r : rings_) r.reclaim();
       for (auto& r : serialRings_) r.reclaim();
-      boundsValid_ = false;
       break;
     }
     if (s <= m) {
@@ -487,21 +356,12 @@ void ParallelEngine::run() {
       // may cascade at the same time; runWindow picks those up too).
       for (auto& sh : shards_) sh.engine.pinNow(s);
       serial_.runWindow(std::nextafter(s, kInf));
-      boundsValid_ = false;  // serial events may have staged work anywhere
       maybeSample(s);
       continue;
     }
     ++windows_;
-    if (!adaptive_) {
-      const Time ceiling = std::min(m + lookahead_, s);
-      windowCeiling_ = ceiling;
-      std::fill(ceilings_.begin(), ceilings_.end(), ceiling);
-    } else {
-      if (!boundsValid_) recomputeBounds();
-      windowCeiling_ = computeCeilings(s);
-    }
+    windowCeiling_ = std::min(m + lookahead_, s);
     executeRound();
-    boundsValid_ = adaptive_;
     maybeSample(windowCeiling_);
   }
 }

@@ -3,27 +3,15 @@
 //
 // The PE space is partitioned into shards; each shard owns a private
 // sim::Engine (heap, clock, trace ring, arrival inbox) over its slice.
-// Execution proceeds in rounds. In the default *global* mode the
-// coordinator computes one ceiling
+// Execution proceeds in rounds. The coordinator computes one global
+// ceiling
 //
 //     C = min( min_over_shards(next event time) + lookahead,
 //              next serial event time )
 //
-// and every shard concurrently executes its events with time < C. In
-// *adaptive* mode each shard publishes, at the end of its window, a
-// per-destination lower bound on when it can next affect that destination
-// (its next pending event time plus the min-plus transitive closure of the
-// per-shard-pair lookahead matrix), through a shards x shards array of
-// std::atomic<Time> pair bounds. The coordinator folds in straggler ring
-// entries and gives every destination its own ceiling
-//
-//     C_d = min( next serial event time,
-//                min_over_sources( pairBound[s][d] ) )
-//
-// so lightly-coupled shards advance in far fewer, far wider windows. The
-// closure (not the one-hop matrix) is what makes this sound: a shard can
-// influence another through relay chains and can influence *itself* through
-// a round trip, and D[s][d] lower-bounds every such chain (DESIGN.md §2g).
+// and every shard concurrently executes its events with time < C. The
+// lookahead is the machine's wire-latency floor, so no event a shard
+// executes in this window can cause a cross-shard arrival below C.
 //
 // Cross-shard events travel through lock-free SPSC rings (chained overflow
 // segments, batched release-store publication) and land in the destination
@@ -43,13 +31,10 @@
 // work — fault injections, heartbeat ticks, checkpoint commits. They run on
 // the coordinator between rounds with every shard parked and every shard
 // clock pinned to the event's instant, so they may touch cross-shard state
-// freely. A serial event's time always caps every ceiling, so no shard ever
-// runs past a pending serial event. Adaptive mode statically refuses
-// shard-context serial scheduling: a boundary event resolves to "the
-// ceiling of the window that issued it", which is only partition-
-// independent when there is one global ceiling. The runtime therefore
-// enables adaptive mode exactly for serial-quiet configurations (no faults,
-// no elastic lifecycle).
+// freely. A serial event's time always caps the ceiling, so no shard ever
+// runs past a pending serial event. A boundary event issued from a shard
+// resolves to the ceiling of the window that issued it: one global time,
+// the same under every partition.
 //
 // Shards are the determinism-relevant partition; worker threads are an
 // execution detail. `threads` defaults to min(shards, hardware cores), and
@@ -77,18 +62,6 @@ class ParallelEngine {
     int shards = 1;      ///< partition count (affects nothing observable)
     int threads = 0;     ///< worker threads; 0 = min(shards, hw cores)
     Time lookahead = 0;  ///< cross-shard latency floor, must be > 0
-    /// Optional shards x shards per-pair lookahead floors (row-major,
-    /// [src * shards + dst]; +inf diagonal; finite entries >= lookahead).
-    /// Empty = uniform `lookahead` everywhere. Only consulted when
-    /// `adaptive` is set; see net::shardLookaheadMatrix.
-    std::vector<Time> pairLookahead;
-    /// Per-destination adaptive ceilings from published pair bounds. The
-    /// workload must be serial-quiet: shard-context atSerial /
-    /// atSerialBoundary are refused (CKD_REQUIRE) in this mode.
-    bool adaptive = false;
-    /// Pin worker k to CPU (k mod hardware_concurrency). Best effort; the
-    /// achieved count is reported by pinnedThreads().
-    bool pinThreads = false;
     /// Events a shard executes between mid-window inbound-ring drains.
     std::uint64_t drainStride = 256;
   };
@@ -113,11 +86,6 @@ class ParallelEngine {
   int shards() const { return static_cast<int>(shards_.size()); }
   int threads() const { return threadCount_; }
   Time lookahead() const { return lookahead_; }
-  bool adaptive() const { return adaptive_; }
-  /// Worker threads successfully pinned to a CPU (0 unless pinThreads).
-  int pinnedThreads() const {
-    return pinnedThreads_.load(std::memory_order_relaxed);
-  }
   int shardOf(int pe) const {
     return pe < 0 ? -1 : shardOfPe_[static_cast<std::size_t>(pe)];
   }
@@ -190,15 +158,12 @@ class ParallelEngine {
   /// Schedule a serial event at absolute time `when`. From shard context,
   /// `when` must be at or beyond the current window ceiling (asserted at
   /// the drain); use atSerialBoundary for "as soon as globally safe".
-  /// Shard-context use requires global mode (see header comment).
   template <class F>
   void atSerial(Time when, F&& f) {
     if (tlsShard_ < 0) {
       serial_.at(when, std::forward<F>(f));
       return;
     }
-    CKD_REQUIRE(!adaptive_,
-                "shard-context serial events require global-window mode");
     serialRings_[static_cast<std::size_t>(tlsShard_)].push(RingEntry{
         when, tlsSerialSrcPe_, nextSerialPushSeq(), false,
         Engine::Action(std::forward<F>(f))});
@@ -207,15 +172,12 @@ class ParallelEngine {
   /// Schedule a serial event at the earliest globally-safe instant: the
   /// ceiling of the window that issued it (a partition-independent time).
   /// From serial context it runs later in the same serial phase.
-  /// Shard-context use requires global mode (see header comment).
   template <class F>
   void atSerialBoundary(F&& f) {
     if (tlsShard_ < 0) {
       serial_.at(serial_.now(), std::forward<F>(f));
       return;
     }
-    CKD_REQUIRE(!adaptive_,
-                "shard-context serial events require global-window mode");
     serialRings_[static_cast<std::size_t>(tlsShard_)].push(
         RingEntry{0.0, tlsSerialSrcPe_, nextSerialPushSeq(), true,
                   Engine::Action(std::forward<F>(f))});
@@ -230,9 +192,7 @@ class ParallelEngine {
   /// every shard parked). `shardOfNewPes[i]` becomes the shard of PE
   /// `oldCount + i`. The shard COUNT never changes — growth only extends
   /// the PE->shard map and the per-PE canonical-order/minting tables, so
-  /// a grown run stays bit-identical across shard counts. In adaptive mode
-  /// the pair matrix collapses to the uniform floor (node ranges may have
-  /// changed; the uniform closure is conservative for any topology).
+  /// a grown run stays bit-identical across shard counts.
   void growPes(const std::vector<int>& shardOfNewPes);
 
   /// Run the round loop to global quiescence (all heaps and rings empty).
@@ -359,7 +319,6 @@ class ParallelEngine {
     return static_cast<std::size_t>(src) * shards_.size() +
            static_cast<std::size_t>(dst);
   }
-  std::size_t pairIndex(int src, int dst) const { return ringIndex(src, dst); }
   void stageSerial(int dstShard, Time when, Engine::Action action);
   std::uint64_t nextSerialPushSeq() { return ++pushSeq_[0]; }
 
@@ -367,33 +326,21 @@ class ParallelEngine {
   void flushOutbound(int shard);
   /// Pull every published inbound-ring entry into the shard's inbox
   /// (mid-window pre-staging; conservatism guarantees nothing below the
-  /// shard's current ceiling can appear).
+  /// current window ceiling can appear).
   void drainInbound(int shard);
   /// Barrier reconcile: move straggler ring entries and serial-phase
-  /// staging into the inboxes, fold their minima into the pair bounds, and
-  /// run shard-issued serial events' drain.
+  /// staging into the inboxes, and run shard-issued serial events' drain.
   void reconcile();
-  /// Recompute every published bound directly from the engines (after
-  /// construction, serial phases, or growth).
-  void recomputeBounds();
-  /// Fill ceilings_ for the next round; returns the max ceiling.
-  Time computeCeilings(Time serialNext);
-  /// End-of-window publication: the shard's pair bounds toward every
-  /// destination (adaptive mode).
-  void publishBounds(int shard);
-  void buildClosure(const std::vector<Time>& pairLookahead);
 
   Time minShardNext() const;
-  void runShardWindow(int shard, Time ceiling);
+  void runShardWindow(int shard);  ///< execute below windowCeiling_
   /// Coordinator-side sampler check after a round/serial phase (shards
   /// parked); `t` is the boundary's virtual time.
   void maybeSample(Time t);
   void executeRound();
   void workerLoop(int workerIndex);
-  void pinThread(int workerIndex);
 
   Time lookahead_ = 0.0;
-  bool adaptive_ = false;
   std::uint64_t drainStride_ = 256;
   std::vector<int> shardOfPe_;
   std::vector<Shard> shards_;
@@ -404,18 +351,7 @@ class ParallelEngine {
   /// serial context, slot pe+1 is touched only by shard(pe)'s thread.
   std::vector<std::uint64_t> pushSeq_;
   std::vector<std::uint64_t> mintCounters_;
-  /// Min-plus transitive closure of the pair lookahead matrix: D[s*N+d]
-  /// lower-bounds the virtual-time cost of *any* influence chain from
-  /// shard s to shard d (including round trips when s == d).
-  std::vector<Time> closure_;
-  /// Published per-pair bounds: bounds_[s*N+d] lower-bounds the time of any
-  /// future arrival into d caused by s's pending work. Written by shard s
-  /// at the end of its window (release); folded/consumed by the
-  /// coordinator after the round barrier.
-  std::vector<std::atomic<Time>> bounds_;
-  bool boundsValid_ = false;  ///< bounds_ reflect the last parallel round
-  std::vector<Time> ceilings_;  ///< per-destination ceiling of this round
-  Time windowCeiling_ = 0.0;  ///< global-mode ceiling of the last round
+  Time windowCeiling_ = 0.0;  ///< ceiling of the current/last round
   std::uint64_t windows_ = 0;
   std::atomic<bool> stopRequested_{false};
   obs::FlightRecorder* sampler_ = nullptr;
@@ -423,15 +359,12 @@ class ParallelEngine {
   // Worker pool (only when threads() > 1). Spin-then-yield barriers: the
   // generation counter releases a round, doneCount_ reports completion.
   int threadCount_ = 1;
-  bool pinThreads_ = false;
-  std::atomic<int> pinnedThreads_{0};
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> startGen_{0};
   std::atomic<int> doneCount_{0};
   std::atomic<bool> quit_{false};
 
   std::vector<RingEntry> drainScratch_;  ///< coordinator-side scratch
-  std::vector<Time> arrivalMin_;         ///< reconcile: min arrival per shard
 
   static thread_local int tlsShard_;
   static thread_local int tlsSerialSrcPe_;

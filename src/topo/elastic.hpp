@@ -27,14 +27,6 @@ class ElasticTopology final : public Topology {
   int injectionSharers(int /*pe*/) const override { return pesPerNode_; }
   std::string describe() const override;
 
-  /// Same leaf/spine floor as FatTree (see FatTree::minHopsBetween).
-  int minHopsBetween(int aLo, int aHi, int bLo, int bHi) const override {
-    const bool mayShareLeaf =
-        aLo / nodesPerSwitch_ <= bHi / nodesPerSwitch_ &&
-        bLo / nodesPerSwitch_ <= aHi / nodesPerSwitch_;
-    return mayShareLeaf ? 2 : 4;
-  }
-
   int pesPerNode() const { return pesPerNode_; }
 
   /// Append `addNodes` whole nodes (addNodes * pesPerNode new PEs).

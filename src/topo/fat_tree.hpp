@@ -26,15 +26,6 @@ class FatTree final : public Topology {
   int injectionSharers(int /*pe*/) const override { return pesPerNode_; }
   std::string describe() const override;
 
-  /// Distinct nodes are never closer than one leaf switch (2 hops); when the
-  /// two ranges cannot share a leaf switch every path crosses the spine (4).
-  int minHopsBetween(int aLo, int aHi, int bLo, int bHi) const override {
-    const bool mayShareLeaf =
-        aLo / nodesPerSwitch_ <= bHi / nodesPerSwitch_ &&
-        bLo / nodesPerSwitch_ <= aHi / nodesPerSwitch_;
-    return mayShareLeaf ? 2 : 4;
-  }
-
   int pesPerNode() const { return pesPerNode_; }
 
  private:

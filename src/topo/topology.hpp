@@ -29,20 +29,6 @@ class Topology {
   /// node injection bandwidth by this when modeling saturated phases.
   virtual int injectionSharers(int pe) const = 0;
 
-  /// Lower bound on hops(a, b) over any *distinct* node pair with a in
-  /// [aLo, aHi] and b in [bLo, bHi] (inclusive node ranges). The sharded
-  /// engine turns this into per-shard-pair lookahead floors, so it must be
-  /// O(1) in the range width — never enumerate the cross product. The
-  /// default of 1 (any cross-node wire crosses at least one link) is always
-  /// sound; topologies with a cheap exact answer override it.
-  virtual int minHopsBetween(int aLo, int aHi, int bLo, int bHi) const {
-    (void)aLo;
-    (void)aHi;
-    (void)bLo;
-    (void)bHi;
-    return 1;
-  }
-
   virtual std::string describe() const = 0;
 };
 

@@ -184,6 +184,40 @@ TEST(BenchRunnerDeath, UnappliedShardsRejected) {
                "--shards is not supported by this bench");
 }
 
+// Counts and periods are range-checked as signed values: a negative
+// --trace-cap must not wrap to a near-unbounded ring, and a negative period
+// must not be dropped in favour of the default without a word.
+void constructRunner(const char* flag, const char* value) {
+  const char* argv[] = {"bench", flag, value};
+  const util::Args args(3, argv);
+  BenchRunner runner("bench", args);
+}
+
+TEST(BenchRunnerDeath, NegativeTraceCapRejected) {
+  EXPECT_DEATH(constructRunner("--trace-cap", "-1"),
+               "--trace-cap must be positive");
+}
+
+TEST(BenchRunnerDeath, NegativeMetricsSnapshotsRejected) {
+  EXPECT_DEATH(constructRunner("--metrics-snapshots", "-3"),
+               "--metrics-snapshots must be positive");
+}
+
+TEST(BenchRunnerDeath, NegativeCheckpointPeriodRejected) {
+  EXPECT_DEATH(constructRunner("--checkpoint-period", "-5"),
+               "--checkpoint-period must be positive");
+}
+
+TEST(BenchRunnerDeath, NegativeHeartbeatPeriodRejected) {
+  EXPECT_DEATH(constructRunner("--heartbeat-period", "-5"),
+               "--heartbeat-period must be positive");
+}
+
+TEST(BenchRunnerDeath, ZeroHeartbeatMissesRejected) {
+  EXPECT_DEATH(constructRunner("--heartbeat-misses", "0"),
+               "--heartbeat-misses must be positive");
+}
+
 TEST(BenchRunner, AppliedShardsAccepted) {
   const char* argv[] = {"bench", "--shards", "2"};
   const util::Args args(3, argv);

@@ -260,9 +260,8 @@ TEST(ParallelEngine, SupportsSeedingFreshWorkBetweenRuns) {
 // per-destination observation sequence (folded in PE order) must be
 // bit-identical whether events arrive via a mid-window drain (stride 1),
 // a mid-stride drain, or only at the barrier (huge stride), and across
-// shard counts, thread counts, and global-vs-adaptive ceilings: the JIT
-// inbox admits arrivals by virtual-time order alone, so WHERE an event was
-// drained is unobservable.
+// shard and thread counts: the JIT inbox admits arrivals by virtual-time
+// order alone, so WHERE an event was drained is unobservable.
 
 struct RelayResult {
   std::uint64_t digest = 0;
@@ -295,8 +294,7 @@ void relayHop(const std::shared_ptr<RelayState>& st, int pe, int chain,
   });
 }
 
-RelayResult runRelay(int shards, int threads, std::uint64_t drainStride,
-                     bool adaptive) {
+RelayResult runRelay(int shards, int threads, std::uint64_t drainStride) {
   constexpr int kPes = 8;
   constexpr int kChains = 5;
   constexpr int kHops = 24;
@@ -304,7 +302,6 @@ RelayResult runRelay(int shards, int threads, std::uint64_t drainStride,
   cfg.shards = shards;
   cfg.threads = threads;
   cfg.lookahead = 1.0;
-  cfg.adaptive = adaptive;
   cfg.drainStride = drainStride;
   std::vector<int> map(kPes);
   for (int pe = 0; pe < kPes; ++pe) map[pe] = pe * shards / kPes;
@@ -335,34 +332,27 @@ RelayResult runRelay(int shards, int threads, std::uint64_t drainStride,
 
 TEST(WindowEdgeDeterminism, MidWindowDrainMatchesBarrierOnlyDrain) {
   const RelayResult base =
-      runRelay(/*shards=*/4, /*threads=*/1, /*drainStride=*/1, false);
+      runRelay(/*shards=*/4, /*threads=*/1, /*drainStride=*/1);
   EXPECT_GT(base.events, 0u);
   // Barrier-only (stride larger than any window's event count) and a
   // mid-stride drain must observe the identical execution.
   const std::uint64_t kBarrierOnly = std::numeric_limits<std::uint64_t>::max();
-  EXPECT_EQ(base, runRelay(4, 1, kBarrierOnly, false));
-  EXPECT_EQ(base, runRelay(4, 1, 3, false));
-  EXPECT_EQ(base, runRelay(4, 2, 1, false));
+  EXPECT_EQ(base, runRelay(4, 1, kBarrierOnly));
+  EXPECT_EQ(base, runRelay(4, 1, 3));
+  EXPECT_EQ(base, runRelay(4, 2, 1));
 }
 
 TEST(WindowEdgeDeterminism, DrainPointTiesAreShardCountInvariant) {
   const RelayResult base =
-      runRelay(/*shards=*/1, /*threads=*/1, /*drainStride=*/256, false);
+      runRelay(/*shards=*/1, /*threads=*/1, /*drainStride=*/256);
+  EXPECT_GT(base.events, 0u);
+  // One shard with a mid-window drain after every event: the baseline's
+  // inbox path with its drain points moved.
+  EXPECT_EQ(base, runRelay(1, 1, 1));
   for (const int shards : {2, 4, 8}) {
-    EXPECT_EQ(base, runRelay(shards, 1, 1, false)) << "shards=" << shards;
-    EXPECT_EQ(base, runRelay(shards, 1, 256, false)) << "shards=" << shards;
-  }
-}
-
-TEST(WindowEdgeDeterminism, AdaptiveCeilingsMatchGlobalWindows) {
-  const RelayResult base =
-      runRelay(/*shards=*/4, /*threads=*/1, /*drainStride=*/256, false);
-  // Per-destination LBTS ceilings admit more per round but must execute the
-  // same virtual-time history, on one shard (infinite self-ceiling) too.
-  EXPECT_EQ(base, runRelay(1, 1, 256, true));
-  for (const int shards : {2, 4, 8}) {
-    EXPECT_EQ(base, runRelay(shards, 1, 256, true)) << "shards=" << shards;
-    EXPECT_EQ(base, runRelay(shards, 2, 256, true)) << "shards=" << shards;
+    EXPECT_EQ(base, runRelay(shards, 1, 1)) << "shards=" << shards;
+    EXPECT_EQ(base, runRelay(shards, 1, 256)) << "shards=" << shards;
+    EXPECT_EQ(base, runRelay(shards, 2, 256)) << "shards=" << shards;
   }
 }
 
