@@ -66,9 +66,9 @@ void IbTransport::sendEager(MessagePtr msg) {
       static_cast<double>(msg->payloadBytes()));
   if (reliableActive()) {
     // Under faults the eager path ships the real wire image through the
-    // reliable link: a corrupted copy fails its checksum and is
-    // retransmitted, and the message is rebuilt from the bytes that
-    // actually survived the wire.
+    // reliable link: a corrupted copy fails the link CRC and is
+    // retransmitted, and the message is rebuilt from the image the
+    // in-sequence arrival delivers.
     msg->sealHeader();
     const std::span<const std::byte> wire = msg->wire();
     fault::ReliableLink::Send send;

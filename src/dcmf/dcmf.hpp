@@ -106,7 +106,7 @@ class DcmfContext {
   /// without changing the real buffer contents.
   ///
   /// With faults armed on the fabric the send rides a fault::ReliableLink
-  /// (seq/checksum/ack/retransmit); `on_local_complete` then fires at ack
+  /// (seq/link CRC/ack/retransmit); `on_local_complete` then fires at ack
   /// time, and a permanent failure releases the request and reports through
   /// `on_error` (aborting if no handler was given).
   void send(ProtocolId protocol, int srcRank, int dstRank, Info info,

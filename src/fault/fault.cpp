@@ -229,15 +229,6 @@ FaultPlan parseFaultSpec(const std::string& spec) {
   return plan;
 }
 
-std::uint64_t checksum(const std::byte* data, std::size_t len) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= static_cast<std::uint64_t>(data[i]);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed,
                              sim::TraceRecorder& trace)
     : plan_(std::move(plan)),

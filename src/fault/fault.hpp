@@ -47,7 +47,7 @@ enum class FaultKind : std::uint8_t {
   kDrop = 0,          ///< wire message silently lost
   kDelay,             ///< extra latency added to the delivery
   kDuplicate,         ///< a ghost copy of the delivery arrives late
-  kCorrupt,           ///< payload bit flipped in flight (caught by checksum)
+  kCorrupt,           ///< bit flipped in flight (fails the link CRC; dropped)
   kQpError,           ///< queue pair fails at post time (flushes the flow)
   kRegionInvalidate,  ///< remote region yanked; receiver NAKs remote-access
   kPeCrash,           ///< fail-stop: a PE dies at a chosen virtual time
@@ -117,9 +117,6 @@ struct FaultPlan {
 /// Example: "drop:0.01,corrupt:0.005;class=bulk,delay:0.02;jitter=8".
 /// Empty string -> unarmed plan. Aborts (CKD_REQUIRE) on malformed specs.
 FaultPlan parseFaultSpec(const std::string& spec);
-
-/// FNV-1a 64-bit checksum; the simulated wire format's per-message CRC.
-std::uint64_t checksum(const std::byte* data, std::size_t len);
 
 /// Wire-level fault decision for one submit.
 struct WireFault {

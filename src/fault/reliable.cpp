@@ -49,7 +49,6 @@ void ReliableLink::post(ChannelId channel, Send send) {
 
   Entry entry;
   entry.send = std::move(send);
-  entry.sum = checksum(entry.send.payload.data(), entry.send.payload.size());
 
   FaultInjector* injector = wire_.faults();
   if (injector != nullptr && injector->armed()) {
@@ -76,27 +75,22 @@ void ReliableLink::post(ChannelId channel, Send send) {
 void ReliableLink::transmit(ChannelId channel, Entry& entry) {
   ++entry.attempts;
   Flow& f = flow(channel);
-  // Each transmission ships its own payload copy: retransmissions race
-  // delayed/duplicated earlier copies on the wire, and each copy must be
-  // independently checkable at arrival.
-  std::vector<std::byte> image = entry.send.payload;
-  // Every attempt — first copy and retransmits alike — carries the logical
+  // A transmission carries no payload image: only the in-sequence arrival
+  // reads the bytes, and it takes them from the sender's entry. Every
+  // attempt — first copy and retransmits alike — carries the logical
   // message's chain id: one chain, N wire submissions.
   const sim::Time eta = wire_.sendWire(
       f.src, f.dst, entry.send.wireBytes, entry.send.cls,
-      [this, channel, seq = entry.seq, sum = entry.sum,
-       regionInvalid = entry.regionInvalid,
-       image = std::move(image)](const WireSender::Delivery& d) mutable {
-        onWireArrival(channel, seq, sum, regionInvalid, std::move(image),
-                      d.corrupted);
+      [this, channel, seq = entry.seq, regionInvalid = entry.regionInvalid](
+          const WireSender::Delivery& d) {
+        onWireArrival(channel, seq, regionInvalid, d.corrupted);
       },
       entry.send.traceId);
   if (eta > f.lastEta) f.lastEta = eta;
 }
 
 void ReliableLink::onWireArrival(ChannelId channel, std::uint64_t seq,
-                                 std::uint64_t sum, bool regionInvalid,
-                                 std::vector<std::byte> image, bool corrupted) {
+                                 bool regionInvalid, bool corrupted) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   Flow& f = flow(channel);
   const sim::Time now = wire_.wireEngine().now();
@@ -111,15 +105,8 @@ void ReliableLink::onWireArrival(ChannelId channel, std::uint64_t seq,
     return;
   }
   if (corrupted) {
-    // The injector flipped a bit in this copy. Make the damage real, then
-    // let the wire-format checksum catch it — a corrupted header (empty
-    // payload image) fails its CRC outright. Either way the copy is
-    // silently discarded, exactly like a link-level CRC failure; the
-    // retransmission timeout recovers.
-    if (!image.empty()) {
-      image[0] ^= std::byte{0x01};
-      if (checksum(image.data(), image.size()) == sum) return;  // unreachable
-    }
+    // The injector flipped a bit in this copy, so it fails the link CRC and
+    // is silently discarded; the retransmission timeout recovers.
     return;
   }
   if (regionInvalid) {
@@ -155,12 +142,15 @@ void ReliableLink::onWireArrival(ChannelId channel, std::uint64_t seq,
   }
   ++f.expected;
   // Deliver through the sender-side entry (same address space): it holds
-  // the delivery closure. The entry is guaranteed live until the ack we are
-  // about to send arrives back — unless the flow failed underneath a copy
-  // still in flight, in which case the arrival is from a dead connection.
+  // the delivery closure and the one payload image. The entry is guaranteed
+  // live until the ack we are about to send arrives back — unless the flow
+  // failed underneath a copy still in flight, in which case the arrival is
+  // from a dead connection. Both move into locals first, so a re-entrant
+  // post() from the handler cannot alias them.
   for (Entry& e : f.unacked) {
     if (e.seq != seq) continue;
     auto deliver = std::move(e.send.on_deliver);
+    std::vector<std::byte> image = std::move(e.send.payload);
     if (deliver) deliver(std::move(image));
     break;
   }

@@ -6,11 +6,14 @@
 // CkDirect's sentinel protocol leans on, §2.1) has to be EARNED. ReliableLink
 // models the RC protocol machinery that earns it:
 //
-//  * every transmission carries a sequence number and an FNV-1a checksum in
-//    its simulated wire header; the receiver recomputes the checksum (bit
-//    corruption -> silent discard, like a link-level CRC failure) and
-//    enforces strict sequencing (duplicates and gap arrivals are discarded,
-//    go-back-N style);
+//  * every transmission carries a sequence number in its simulated wire
+//    header and is covered by a modeled link CRC: a copy the injector
+//    corrupted fails it and is silently discarded. The receiver enforces
+//    strict sequencing (duplicates and gap arrivals are discarded, go-back-N
+//    style);
+//  * a message holds exactly one payload image, the one posted: the
+//    transmissions carry none, and the one in-sequence arrival moves it out
+//    of the sender's entry into on_deliver;
 //  * in-sequence arrivals are delivered exactly once, then cumulatively
 //    acked with a small control message (itself subject to wire faults);
 //  * the sender keeps unacked entries in a per-channel retransmission queue
@@ -59,8 +62,9 @@ class WireSender {
   struct Delivery {
     bool corrupted = false;  ///< injector flipped a bit in this copy
   };
-  /// Sized to hold the fabric's wrap of a user delivery closure inline (the
-  /// per-message path the pools keep allocation-free); bigger captures fall
+  /// Sized to hold inline the fabric's 80-byte wrap of a net::Fabric
+  /// DeliverFn (the per-message path the pools keep allocation-free); the
+  /// link's own transmission closures are far smaller. Bigger captures fall
   /// back to the heap transparently.
   using DeliverFn = util::InplaceFunction<void(const Delivery&), 88>;
 
@@ -88,7 +92,8 @@ class ReliableLink {
     std::size_t wireBytes = 0;  ///< modeled wire size (headers included)
     MsgClass cls = MsgClass::kPacket;
     /// Real payload image; may be empty for closure-only messages (control
-    /// handshakes) whose effect is entirely in on_deliver.
+    /// handshakes) whose effect is entirely in on_deliver. It is the only
+    /// copy: on_deliver receives this very buffer, moved.
     std::vector<std::byte> payload;
     /// Runs at the receiver, exactly once, in post order per channel.
     std::function<void(std::vector<std::byte>&&)> on_deliver;
@@ -133,7 +138,6 @@ class ReliableLink {
   struct Entry {
     std::uint64_t seq = 0;
     Send send;
-    std::uint64_t sum = 0;       ///< checksum over the payload image
     bool regionInvalid = false;  ///< injected: receiver will NAK this entry
     int attempts = 0;            ///< transmissions so far
   };
@@ -162,8 +166,7 @@ class ReliableLink {
   Flow& flow(ChannelId channel) { return flows_[channel]; }
   void flushFlow(Flow& f);
   void transmit(ChannelId channel, Entry& entry);
-  void onWireArrival(ChannelId channel, std::uint64_t seq, std::uint64_t sum,
-                     bool regionInvalid, std::vector<std::byte> image,
+  void onWireArrival(ChannelId channel, std::uint64_t seq, bool regionInvalid,
                      bool corrupted);
   void sendAck(ChannelId channel);
   void onAck(ChannelId channel, std::uint64_t through);

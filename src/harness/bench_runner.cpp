@@ -1,5 +1,6 @@
 #include "harness/bench_runner.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 
@@ -40,8 +41,9 @@ BenchRunner::BenchRunner(std::string name, const util::Args& args)
   perfettoPath_ = args.get("trace-perfetto", "");
   traceFilter_ = TraceFilter::parse(args.get("trace-filter", ""));
   // Numeric flags are range-checked as signed values before any cast, so a
-  // negative count cannot wrap to a huge size_t and a negative period is
-  // refused instead of silently keeping the default.
+  // negative count cannot wrap to a huge size_t, a count narrowed to int
+  // cannot wrap (2^32 + 2 to 2), and a negative period is refused instead of
+  // silently keeping the default.
   const std::int64_t traceCap = args.getInt(
       "trace-cap",
       static_cast<std::int64_t>(sim::TraceRecorder::kDefaultCapacity));
@@ -57,14 +59,19 @@ BenchRunner::BenchRunner(std::string name, const util::Args& args)
   CKD_REQUIRE(!args.has("heartbeat-period") || heartbeatPeriod_ > 0.0,
               "--heartbeat-period must be positive");
   const std::int64_t heartbeatMisses = args.getInt("heartbeat-misses", 0);
-  CKD_REQUIRE(!args.has("heartbeat-misses") || heartbeatMisses > 0,
-              "--heartbeat-misses must be positive");
+  CKD_REQUIRE(!args.has("heartbeat-misses") ||
+                  (heartbeatMisses > 0 && heartbeatMisses <= INT_MAX),
+              "--heartbeat-misses must be positive (at most INT_MAX)");
   heartbeatMisses_ = static_cast<int>(heartbeatMisses);
   scalePlan_ = args.get("scale-plan", "");
-  shards_ = static_cast<int>(args.getInt("shards", 0));
-  CKD_REQUIRE(shards_ >= 0, "--shards must be non-negative");
-  shardThreads_ = static_cast<int>(args.getInt("shard-threads", 0));
-  CKD_REQUIRE(shardThreads_ >= 0, "--shard-threads must be non-negative");
+  const std::int64_t shards = args.getInt("shards", 0);
+  CKD_REQUIRE(shards >= 0 && shards <= INT_MAX,
+              "--shards must be in [0, INT_MAX]");
+  shards_ = static_cast<int>(shards);
+  const std::int64_t shardThreads = args.getInt("shard-threads", 0);
+  CKD_REQUIRE(shardThreads >= 0 && shardThreads <= INT_MAX,
+              "--shard-threads must be in [0, INT_MAX]");
+  shardThreads_ = static_cast<int>(shardThreads);
   metricsInterval_ = args.getDouble("metrics-interval", 0.0);
   CKD_REQUIRE(metricsInterval_ >= 0.0, "--metrics-interval must be >= 0");
   const std::int64_t metricsSnapshots = args.getInt("metrics-snapshots", 0);

@@ -47,9 +47,9 @@
 //                       snapshots drop once full)
 //
 // When given, --trace-cap, --metrics-snapshots, --checkpoint-period,
-// --heartbeat-period and --heartbeat-misses must be positive, and --shards,
-// --shard-threads and --metrics-interval non-negative; anything else aborts
-// via CKD_REQUIRE.
+// --heartbeat-period and --heartbeat-misses must be positive (the misses at
+// most INT_MAX), --shards and --shard-threads in [0, INT_MAX], and
+// --metrics-interval non-negative; anything else aborts via CKD_REQUIRE.
 //
 // Usage:
 //   util::Args args(argc, argv);

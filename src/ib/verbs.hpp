@@ -20,8 +20,8 @@
 //
 // When the fabric has a fault injector installed, the RC guarantee is no
 // longer free: every RDMA write and send is carried by a
-// fault::ReliableLink (sequence numbers, checksums, ack/retransmit with
-// exponential backoff, IB-style retry budget), local completions fire at
+// fault::ReliableLink (sequence numbers, a modeled link CRC, ack/retransmit
+// with exponential backoff, IB-style retry budget), local completions fire at
 // ack time, and a permanently failed QP surfaces WC_RETRY_EXC-style error
 // completions through RdmaWrite::on_error. resetQp() re-establishes a
 // failed connection (fresh PSN) so the layers above can retry.

@@ -137,7 +137,9 @@ sim::Time Fabric::submitEx(int srcPe, int dstPe, std::size_t bytes,
   // Kept as a raw lambda so the engine constructs the composite — user
   // closure + reliability wrap + this stamp — directly in its event slot.
   // engine() inside resolves to the destination context at delivery time.
-  auto deliver = [this, dstPe, bytes, traceId, corrupted = wf.corrupt,
+  // Capture order packs dstPe and corrupted into one word ahead of the
+  // 16-byte-aligned onDeliver, so the closure fits sim::InplaceAction.
+  auto deliver = [this, bytes, traceId, dstPe, corrupted = wf.corrupt,
                   onDeliver = std::move(onDeliver)]() mutable {
     sim::Engine& dstEng = engine();
     dstEng.trace().recordSpan(dstEng.now(), dstPe,
@@ -146,6 +148,8 @@ sim::Time Fabric::submitEx(int srcPe, int dstPe, std::size_t bytes,
                               static_cast<double>(bytes));
     onDeliver(fault::WireSender::Delivery{corrupted});
   };
+  static_assert(sim::InplaceAction::fitsInline<decltype(deliver)>(),
+                "the fabric delivery closure must not spill to the heap");
 
   if (srcPe == dstPe) {
     // Self-send: the machine layer short-circuits into a memcpy.

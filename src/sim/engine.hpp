@@ -32,8 +32,9 @@ class FlightRecorder;
 namespace ckd::sim {
 
 /// Engine event closure. The capacity covers the deepest composite the
-/// runtime builds (the fabric's delivery wrapper holding a reliability-layer
-/// callback, ~128 bytes); larger captures fall back to the heap.
+/// runtime builds (the fabric's 144-byte delivery stamp holding a
+/// fault::WireSender::DeliverFn; net::Fabric static_asserts that it fits);
+/// larger captures fall back to the heap.
 using InplaceAction = util::InplaceFunction<void(), 152>;
 
 class Engine {

@@ -1,9 +1,9 @@
 // Tests for the fault-injection subsystem: spec parsing, injector
 // determinism, the go-back-N ReliableLink (drops, corruption, duplicates,
-// retry exhaustion, QP errors, region invalidation, reset/recovery), the
-// verbs reliable RDMA path, CkDirect put recovery and error completions,
-// and the run-level invariants (unarmed plan = bit-identical run, same
-// seed = byte-identical trace).
+// lost acks, zero-copy delivery, retry exhaustion, QP errors, region
+// invalidation, reset/recovery), the verbs reliable RDMA path, CkDirect put
+// recovery and error completions, and the run-level invariants (unarmed
+// plan = bit-identical run, same seed = byte-identical trace).
 
 #include <gtest/gtest.h>
 
@@ -200,6 +200,49 @@ TEST_F(ReliableLinkTest, DuplicatesAreDeliveredExactlyOnce) {
   engine_.run();
   EXPECT_EQ(deliveredTags_, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(acked_, 5);
+  EXPECT_GT(engine_.trace().count(sim::TraceTag::kRelDupDrop), 0u);
+}
+
+TEST_F(ReliableLinkTest, DeliversThePostedImageWithoutCopying) {
+  // The link holds one payload image per message: transmissions carry no
+  // copy, and the in-sequence arrival hands on_deliver the posted buffer —
+  // also when that arrival is a retransmission (the second message's first
+  // copy is dropped).
+  arm("drop:0;nth=2;class=bulk");
+  std::vector<const std::byte*> posted;
+  std::vector<const std::byte*> delivered;
+  for (int i = 0; i < 2; ++i) {
+    fault::ReliableLink::Send send = makeSend(i);
+    posted.push_back(send.payload.data());
+    send.on_deliver = [&delivered](std::vector<std::byte>&& image) {
+      delivered.push_back(image.data());
+    };
+    link_->post(0, std::move(send));
+  }
+  engine_.run();
+  EXPECT_GT(link_->retransmits(), 0u);
+  EXPECT_EQ(delivered, posted);
+}
+
+TEST_F(ReliableLinkTest, LostAcksRetransmitDeliveredMessagesDeliveringOnce) {
+  // Every second ack is dropped, so the sender times out and retransmits
+  // messages the receiver already delivered. Those copies must be discarded
+  // as duplicates: each message is delivered once, with its bytes intact,
+  // and the re-acks still complete every post.
+  arm("drop:0;nth=2;class=control");
+  // An even count: the last message's ack is a dropped one, so no later
+  // ack covers it and the sender must retransmit.
+  constexpr int kPosts = 4;
+  for (int i = 0; i < kPosts; ++i) link_->post(0, makeSend(i));
+  engine_.run();
+  ASSERT_EQ(deliveredTags_, (std::vector<int>{0, 1, 2, 3}));
+  for (int i = 0; i < kPosts; ++i) {
+    const std::vector<std::byte> want(64, static_cast<std::byte>(i));
+    EXPECT_EQ(deliveredImages_[static_cast<std::size_t>(i)], want);
+  }
+  EXPECT_EQ(acked_, kPosts);
+  EXPECT_TRUE(errors_.empty());
+  EXPECT_GT(link_->retransmits(), 0u);
   EXPECT_GT(engine_.trace().count(sim::TraceTag::kRelDupDrop), 0u);
 }
 

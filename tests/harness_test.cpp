@@ -218,6 +218,23 @@ TEST(BenchRunnerDeath, ZeroHeartbeatMissesRejected) {
                "--heartbeat-misses must be positive");
 }
 
+TEST(BenchRunnerDeath, HeartbeatMissesBeyondIntRejected) {
+  EXPECT_DEATH(constructRunner("--heartbeat-misses", "4294967297"),
+               "--heartbeat-misses must be positive");
+}
+
+// Shard counts are range-checked before narrowing to int, so 2^32 + 2
+// cannot wrap to 2 shards and 2^32 + 1 cannot wrap to 1 thread.
+TEST(BenchRunnerDeath, ShardsBeyondIntRejected) {
+  EXPECT_DEATH(constructRunner("--shards", "4294967298"),
+               "--shards must be in \\[0, INT_MAX\\]");
+}
+
+TEST(BenchRunnerDeath, ShardThreadsBeyondIntRejected) {
+  EXPECT_DEATH(constructRunner("--shard-threads", "4294967297"),
+               "--shard-threads must be in \\[0, INT_MAX\\]");
+}
+
 TEST(BenchRunner, AppliedShardsAccepted) {
   const char* argv[] = {"bench", "--shards", "2"};
   const util::Args args(3, argv);
