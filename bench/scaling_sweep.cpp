@@ -3,6 +3,8 @@
 // one-PE-per-node Abe machines across a grid of {PE count} x {shard count}
 // and reports events/sec per cell, so a chart over the JSON shows how the
 // barrier-light window protocol scales with both problem size and shards.
+// Sharded cells also report their own window count and ring overflow
+// (`windows`, `ring_overflow` rows, labelled like `events_per_sec`).
 //
 //   strong — total round trips fixed (--iters), split across pes/2 pairs:
 //            bigger machines do the same virtual work with more parallelism.
@@ -72,16 +74,19 @@ struct CellResult {
   std::uint64_t events = 0;
   double wall_s = 0.0;
   int threads = 1;
+  bool sharded = false;  ///< ran on the parallel engine (shards > 0)
+  std::uint64_t windows = 0;
+  std::uint64_t ringOverflow = 0;
   double eventsPerSec() const { return wall_s > 0.0 ? events / wall_s : 0.0; }
 };
 
 CellResult runCell(int pes, int itersPerPair, std::size_t bytes, int shards,
-                   int shardThreads, harness::BenchRunner* recordTo) {
+                   int shardThreads, const harness::BenchRunner& runner) {
   const int pairs = pes / 2;
   charm::MachineConfig machine = harness::abeMachine(pes, /*pesPerNode=*/1);
   machine.shards = shards;
   machine.shardThreads = shardThreads;
-  if (recordTo != nullptr) recordTo->applyMetrics(machine);
+  if (shards > 0) runner.applyMetrics(machine);
   charm::Runtime rts(machine);
   auto proxy = charm::makeArray<SweepChare>(
       rts, "sweep", pes, [](std::int64_t i) { return static_cast<int>(i); },
@@ -107,9 +112,12 @@ CellResult runCell(int pes, int itersPerPair, std::size_t bytes, int shards,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   result.events = rts.executedEvents();
-  if (const sim::ParallelEngine* par = rts.parallelEngine())
+  if (const sim::ParallelEngine* par = rts.parallelEngine()) {
     result.threads = par->threads();
-  if (recordTo != nullptr) recordTo->recordShardStats(rts);
+    result.sharded = true;
+    result.windows = par->windows();
+    result.ringOverflow = par->ringStats().overflow;
+  }
   return result;
 }
 
@@ -152,10 +160,9 @@ int main(int argc, char** argv) {
           strong ? std::max(1, strongIters / pairs) : weakIters;
       std::uint64_t rowEvents = 0;
       for (const std::int64_t shards : shardsList) {
-        const CellResult cell = runCell(
-            static_cast<int>(pes), itersPerPair, bytes,
-            static_cast<int>(shards), runner.shardThreads(),
-            shards > 0 ? &runner : nullptr);
+        const CellResult cell =
+            runCell(static_cast<int>(pes), itersPerPair, bytes,
+                    static_cast<int>(shards), runner.shardThreads(), runner);
         std::printf(
             "%-6s pes %7lld shards %2lld threads %2d  %12llu events  "
             "%8.3f s  %12.0f events/sec\n",
@@ -167,11 +174,18 @@ int main(int argc, char** argv) {
         labels.set("pes", util::JsonValue(pes));
         labels.set("shards", util::JsonValue(shards));
         labels.set("threads", util::JsonValue(cell.threads));
-        util::JsonValue labels2 = labels;  // same discriminators, two metrics
-        runner.addMetric("events_per_sec", cell.eventsPerSec(), "1/s",
-                         std::move(labels));
+        // Every row of a cell carries the same discriminators; the shard
+        // counters are per cell too, so no row describes another cell.
+        runner.addMetric("events_per_sec", cell.eventsPerSec(), "1/s", labels);
         runner.addMetric("events_executed", static_cast<double>(cell.events),
-                         "events", std::move(labels2));
+                         "events", labels);
+        if (cell.sharded) {
+          runner.addMetric("windows", static_cast<double>(cell.windows),
+                           "windows", labels);
+          runner.addMetric("ring_overflow",
+                           static_cast<double>(cell.ringOverflow), "entries",
+                           labels);
+        }
         if (rowEvents == 0) {
           rowEvents = cell.events;
         } else if (cell.events != rowEvents) {

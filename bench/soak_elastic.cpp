@@ -42,6 +42,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "charm/chare.hpp"
@@ -187,7 +188,7 @@ struct App {
     direct::ready(handles[static_cast<std::size_t>(w.thisIndex())]);
     charm::Packer pk;
     pk.put<std::int64_t>(w.thisIndex());
-    rts.sendToElement(driverArr, 0, epReply, pk.bytes());
+    rts.sendPacked(driverArr, 0, epReply, std::move(pk));
     // The per-round reduction is the migration/checkpoint cut; every
     // channel is idle (ready'd, no put in flight) when it closes.
     w.barrier(epCut);

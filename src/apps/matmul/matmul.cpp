@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "charm/maps.hpp"
 #include "charm/marshal.hpp"
@@ -146,7 +147,7 @@ class MatmulChare final : public charm::Chare {
     pk.put<std::int32_t>(kind);
     pk.put<std::int32_t>(slot);
     pk.put<direct::Handle>(h);
-    proxy[dest].send(epHandle, pk);
+    proxy[dest].send(epHandle, std::move(pk));
   }
 
   void takeHandle(charm::Message& msg) {
@@ -212,7 +213,7 @@ class MatmulChare final : public charm::Chare {
     pk.put<std::int32_t>(kind);
     pk.put<std::int32_t>(slot);
     pk.putSpan<double>(values);
-    proxy[dest].send(epSlice, pk);
+    proxy[dest].send(epSlice, std::move(pk));
   }
 
   /// MSG mode: a slice arrived; copy it into place (charged — §4.2 says the

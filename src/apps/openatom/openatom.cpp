@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "charm/maps.hpp"
 #include "charm/marshal.hpp"
@@ -190,7 +191,7 @@ class PcChare final : public charm::Chare {
     charm::Packer pk;
     pk.put<direct::Handle>(h);
     gs[state + static_cast<std::int64_t>(cfg.nstates) * p].send(
-        epGsTakeHandle, pk);
+        epGsTakeHandle, std::move(pk));
   }
 
   /// MSG mode: points arrived as a message — copy into the contiguous
@@ -241,7 +242,7 @@ class PcChare final : public charm::Chare {
         }
         pk.putSpan<double>(payload);
         gs[(blockBase + slot) + static_cast<std::int64_t>(cfg.nstates) * p]
-            .send(epGsBackward, pk);
+            .send(epGsBackward, std::move(pk));
       }
     }
     if (cfg.mode == Mode::kCkDirect) {
@@ -281,7 +282,7 @@ void GsChare::sendPointsMsg(std::int64_t dest, bool left) {
   pk.put<std::int32_t>(left ? 1 : 0);
   pk.put<std::int32_t>(s);
   pk.putSpan<double>(sendPoints);
-  pc[dest].send(epPoints, pk);
+  pc[dest].send(epPoints, std::move(pk));
 }
 
 OpenAtomApp::OpenAtomApp(charm::Runtime& rts, Config cfg)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "charm/checkpoint.hpp"
 #include "charm/maps.hpp"
@@ -122,7 +123,7 @@ class StencilChare final : public charm::Chare {
       charm::Packer pk;
       pk.put<std::int32_t>(opposite(d));
       pk.put<direct::Handle>(recvHandle[d]);
-      proxy[neighbor[d]].send(epHandle, pk);
+      proxy[neighbor[d]].send(epHandle, std::move(pk));
     }
     handlesCreated = true;
     checkSetupDone();
@@ -194,7 +195,7 @@ class StencilChare final : public charm::Chare {
         charm::Packer pk;
         pk.put<std::int32_t>(opposite(d));
         pk.putSpan<double>(sendFace[d]);
-        proxy[neighbor[d]].send(epGhost, pk);
+        proxy[neighbor[d]].send(epGhost, std::move(pk));
       }
     }
     faceSent = true;

@@ -2,19 +2,41 @@
 // Parameter marshalling for entry methods: a Packer that serializes
 // trivially copyable values and spans into a payload, and an Unpacker that
 // reads them back in order. Both are bounds-checked.
+//
+// A Packer marshals in place: it writes into a util::BufferPool block that
+// keeps kWireHeaderBytes of room at its front, so sending it
+// (ElementRef::send / ArrayProxy::broadcast with std::move(packer)) hands
+// the block to the message as its wire image (Message::adopt) without
+// copying the payload again. Blocks grow through the pool's power-of-two
+// size classes and geometrically past BufferPool::kMaxPooledBytes, so large
+// PUP and checkpoint images stay linear-time.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "charm/envelope.hpp"
+#include "util/pool.hpp"
 #include "util/require.hpp"
 
 namespace ckd::charm {
 
 class Packer {
  public:
+  Packer() = default;
+  /// Move-only, like its block; a moved-from packer is empty.
+  Packer(Packer&& other) noexcept
+      : block_(std::move(other.block_)), size_(std::exchange(other.size_, 0)) {}
+  Packer& operator=(Packer&& other) noexcept {
+    block_ = std::move(other.block_);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
   template <typename T>
   Packer& put(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -39,15 +61,42 @@ class Packer {
     return putSpan(std::span<const T>(values));
   }
 
-  std::span<const std::byte> bytes() const { return buffer_; }
-  std::size_t size() const { return buffer_.size(); }
+  std::span<const std::byte> bytes() const {
+    if (size_ == 0) return {};
+    return {block_.data() + kWireHeaderBytes, size_};
+  }
+  std::size_t size() const { return size_; }
+
+  /// Hand over the block as a wire image: [kWireHeaderBytes of header room]
+  /// [payload], sized exactly. Leaves the packer empty.
+  util::PooledBuffer takeWire() && {
+    if (block_.empty()) return util::PooledBuffer(kWireHeaderBytes);
+    block_.truncate(kWireHeaderBytes + size_);
+    size_ = 0;
+    return std::move(block_);
+  }
 
  private:
   void append(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    buffer_.insert(buffer_.end(), p, p + n);
+    const std::size_t need = kWireHeaderBytes + size_ + n;
+    if (need > block_.size()) grow(need);
+    std::memcpy(block_.data() + kWireHeaderBytes + size_, data, n);
+    size_ += n;
   }
-  std::vector<std::byte> buffer_;
+  /// Move to a block of at least `need` bytes: the next size class, or twice
+  /// the current capacity, whichever is larger. The capacity therefore stays
+  /// the size class of the payload image, which takeWire relies on.
+  void grow(std::size_t need) {
+    util::PooledBuffer bigger(util::BufferPool::classCapacity(
+        std::max(need, 2 * block_.size())));
+    if (size_ > 0)
+      std::memcpy(bigger.data() + kWireHeaderBytes,
+                  block_.data() + kWireHeaderBytes, size_);
+    block_ = std::move(bigger);
+  }
+
+  util::PooledBuffer block_;  ///< size() is the capacity
+  std::size_t size_ = 0;      ///< payload bytes written
 };
 
 class Unpacker {

@@ -1,6 +1,7 @@
 #include "charm/message.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -18,6 +19,15 @@ MessagePtr Message::make(const Envelope& env,
   if (!payload.empty())
     std::memcpy(msg->wire_.data() + kWireHeaderBytes, payload.data(),
                 payload.size());
+  return msg;
+}
+
+MessagePtr Message::adopt(const Envelope& env, Packer&& packer) {
+  MessagePtr msg = alloc();
+  msg->env_ = env;
+  msg->env_.payloadBytes = static_cast<std::uint32_t>(packer.size());
+  msg->wire_ = std::move(packer).takeWire();
+  msg->sealHeader();
   return msg;
 }
 

@@ -5,16 +5,23 @@
 // Allocation: the wire image comes from util::BufferPool (recycled by size
 // class) and the Message object + shared_ptr control block are co-located in
 // one pooled block via allocate_shared — a steady-state send allocates
-// nothing. Payload bytes of makeUninit/makeLanding buffers are deliberately
-// left uninitialized: every caller overwrites them (make()'s memcpy, the
-// rendezvous RDMA landing, DCMF's receive memcpy), so zero-filling them was
-// pure waste on the critical path.
+// nothing. A marshalled send adopts its Packer's block as the wire image
+// (adopt()), so the payload is written once, by the packer, and never
+// copied into the message. Payload bytes of makeUninit/makeLanding buffers
+// are deliberately left uninitialized: every caller overwrites them
+// (make()'s memcpy, the rendezvous RDMA landing, DCMF's receive memcpy), so
+// zero-filling them was pure waste on the critical path.
+//
+// A machine layer may read the wire image in place until delivery (the
+// rendezvous RDMA write pins it), so a sent message's bytes must not change
+// while the transport holds it.
 
 #include <cstddef>
 #include <memory>
 #include <span>
 
 #include "charm/envelope.hpp"
+#include "charm/marshal.hpp"
 #include "util/pool.hpp"
 
 namespace ckd::charm {
@@ -29,6 +36,10 @@ class Message {
   /// Build a message with the given envelope and payload copied in.
   static MessagePtr make(const Envelope& env,
                          std::span<const std::byte> payload);
+
+  /// Build a message whose wire image is the packer's block (the payload
+  /// already sits behind the header room); the packer is left empty.
+  static MessagePtr adopt(const Envelope& env, Packer&& packer);
 
   /// Build a message with an uninitialized payload of `bytes` (machine
   /// layers fill it in place, e.g. the rendezvous landing buffer).

@@ -21,9 +21,10 @@ class ElementRef {
     rts_->sendToElement(array_, index_, entry, payload);
   }
 
-  /// Invoke a registered entry with a marshalled payload.
-  void send(EntryId entry, const Packer& packer) const {
-    rts_->sendToElement(array_, index_, entry, packer.bytes());
+  /// Invoke a registered entry with a marshalled payload. The packer's
+  /// block becomes the message (no copy), so pass it with std::move.
+  void send(EntryId entry, Packer&& packer) const {
+    rts_->sendPacked(array_, index_, entry, std::move(packer));
   }
 
   /// Direct object access (tests / co-located setup code).
@@ -59,8 +60,8 @@ class ArrayProxy {
   void broadcast(EntryId entry, std::span<const std::byte> payload = {}) const {
     rts_->broadcast(array_, entry, payload);
   }
-  void broadcast(EntryId entry, const Packer& packer) const {
-    rts_->broadcast(array_, entry, packer.bytes());
+  void broadcast(EntryId entry, Packer&& packer) const {
+    rts_->broadcastPacked(array_, entry, std::move(packer));
   }
 
  private:

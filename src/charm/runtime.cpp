@@ -345,6 +345,17 @@ const std::vector<std::int64_t>& Runtime::elementsOnPe(ArrayId array,
 
 void Runtime::sendToElement(ArrayId array, std::int64_t index, EntryId entry,
                             std::span<const std::byte> payload) {
+  sendMessage(Message::make(userEnvelope(array, index, entry), payload));
+}
+
+void Runtime::sendPacked(ArrayId array, std::int64_t index, EntryId entry,
+                         Packer&& packer) {
+  sendMessage(
+      Message::adopt(userEnvelope(array, index, entry), std::move(packer)));
+}
+
+Envelope Runtime::userEnvelope(ArrayId array, std::int64_t index,
+                               EntryId entry) const {
   const ArrayRecord& rec = record(array);
   CKD_REQUIRE(index >= 0 && index < rec.count, "element index out of range");
   CKD_REQUIRE(entry >= 0 && entry < static_cast<EntryId>(rec.entries.size()),
@@ -356,7 +367,7 @@ void Runtime::sendToElement(ArrayId array, std::int64_t index, EntryId entry,
   env.arrayId = array;
   env.elemIndex = index;
   env.entry = entry;
-  sendMessage(Message::make(env, payload));
+  return env;
 }
 
 void Runtime::sendMessage(MessagePtr msg) {
@@ -463,6 +474,14 @@ void Runtime::deliver(Message& msg) {
 
 void Runtime::broadcast(ArrayId array, EntryId entry,
                         std::span<const std::byte> payload) {
+  sendMessage(Message::make(broadcastEnvelope(array, entry), payload));
+}
+
+void Runtime::broadcastPacked(ArrayId array, EntryId entry, Packer&& packer) {
+  sendMessage(Message::adopt(broadcastEnvelope(array, entry), std::move(packer)));
+}
+
+Envelope Runtime::broadcastEnvelope(ArrayId array, EntryId entry) const {
   const ArrayRecord& rec = record(array);
   CKD_REQUIRE(entry >= 0 && entry < static_cast<EntryId>(rec.entries.size()),
               "unregistered entry method");
@@ -472,7 +491,7 @@ void Runtime::broadcast(ArrayId array, EntryId entry,
   env.dstPe = rec.hostPes.front();
   env.arrayId = array;
   env.entry = entry;
-  sendMessage(Message::make(env, payload));
+  return env;
 }
 
 void Runtime::handleBroadcast(Message& msg) {
@@ -602,7 +621,7 @@ void Runtime::tryFlushReduction(ArrayRecord& rec, int pos,
   env.dstPe = rec.hostPes[static_cast<std::size_t>(treeParent(pos))];
   env.arrayId = static_cast<ArrayId>(&rec - arrays_.data());
   env.reductionRound = round;
-  sendMessage(Message::make(env, packer.bytes()));
+  sendMessage(Message::adopt(env, std::move(packer)));
   rounds.erase(it);
 }
 

@@ -232,10 +232,16 @@ class Runtime {
   /// is the currently executing PE (or PE 0 from setup code).
   void sendToElement(ArrayId array, std::int64_t index, EntryId entry,
                      std::span<const std::byte> payload);
+  /// Same, adopting the packer's block as the message's wire image (no
+  /// payload copy); the packer is left empty. (A distinct name, so a `{}`
+  /// payload still means an empty span.)
+  void sendPacked(ArrayId array, std::int64_t index, EntryId entry,
+                  Packer&& packer);
 
   /// Deliver `entry` with `payload` to every element, via a PE spanning tree.
   void broadcast(ArrayId array, EntryId entry,
                  std::span<const std::byte> payload);
+  void broadcastPacked(ArrayId array, EntryId entry, Packer&& packer);
 
   /// Element contribution to the array's reduction (see Chare::contribute).
   void contribute(ArrayId array, std::int64_t index,
@@ -345,6 +351,9 @@ class Runtime {
 
   /// Resolve the effective source PE for a send issued right now.
   int effectiveSrcPe() const { return currentPe_ >= 0 ? currentPe_ : 0; }
+  /// Envelopes of sendToElement / broadcast (validated, not yet sequenced).
+  Envelope userEnvelope(ArrayId array, std::int64_t index, EntryId entry) const;
+  Envelope broadcastEnvelope(ArrayId array, EntryId entry) const;
 
   /// Next envelope sequence number for a message from `srcPe`.
   std::uint64_t nextMsgSeq(int srcPe);

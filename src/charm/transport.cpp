@@ -253,11 +253,14 @@ void IbTransport::postPayloadWrite(std::uint64_t seq) {
   write.remote_addr = pending.remoteAddr;
   write.remote_region = pending.remoteRegion;
   write.bytes = wire.size();
+  // The message image stays registered and unchanged until maybeRetireSend,
+  // which waits for the delivery too: the write may read it in place.
+  write.source_pinned = true;
   write.on_local_complete = [this, seq]() {
     const auto pit = pendingSends_.find(seq);
     CKD_REQUIRE(pit != pendingSends_.end(), "completion for unknown send");
-    verbs_.deregisterMemory(pit->second.localRegion);
-    pendingSends_.erase(pit);
+    pit->second.localDone = true;
+    maybeRetireSend(seq);
   };
   write.on_remote_delivered = [this, seq]() { onRdmaDelivered(seq); };
   write.trace_id = pending.msg->env().traceId;
@@ -296,11 +299,26 @@ void IbTransport::onRdmaError(std::uint64_t seq, fault::WcStatus /*status*/) {
   });
 }
 
+void IbTransport::maybeRetireSend(std::uint64_t seq) {
+  const auto it = pendingSends_.find(seq);
+  if (it == pendingSends_.end()) return;
+  if (!it->second.localDone || !it->second.delivered) return;
+  verbs_.deregisterMemory(it->second.localRegion);
+  pendingSends_.erase(it);
+}
+
 void IbTransport::onRdmaDelivered(std::uint64_t seq) {
   const auto it = pendingRecvs_.find(seq);
   CKD_REQUIRE(it != pendingRecvs_.end(), "RDMA delivery for unknown recv");
   PendingRecv recv = std::move(it->second);
   pendingRecvs_.erase(it);
+  // The sender side learns nothing from a plain RDMA write landing; this is
+  // the simulator's own bookkeeping of when the pinned image was last read.
+  const auto sit = pendingSends_.find(seq);
+  if (sit != pendingSends_.end()) {
+    sit->second.delivered = true;
+    maybeRetireSend(seq);
+  }
   runtime_.engine().trace().recordSpan(
       runtime_.engine().now(), recv.landing->env().dstPe,
       sim::TraceTag::kXportRdmaDelivered, sim::SpanPhase::kInstant,

@@ -74,6 +74,10 @@ class IbTransport final : public Transport {
   void postPayloadWrite(std::uint64_t seq);
   void onRdmaError(std::uint64_t seq, fault::WcStatus status);
   void onRdmaDelivered(std::uint64_t seq);
+  /// Release a pending send once its write is both locally complete and
+  /// delivered: the payload write reads the pinned message image at
+  /// delivery, which can come after the local completion.
+  void maybeRetireSend(std::uint64_t seq);
 
   /// Faults armed on the fabric: eager/control traffic rides a reliable link.
   bool reliableActive();
@@ -91,6 +95,8 @@ class IbTransport final : public Transport {
     ib::RegionId remoteRegion;
     ib::RegionId localRegion;
     int attempts = 0;
+    bool localDone = false;  ///< the payload write's local completion fired
+    bool delivered = false;  ///< the payload landed at the receiver
   };
   std::map<std::uint64_t, PendingSend> pendingSends_;
   struct PendingRecv {

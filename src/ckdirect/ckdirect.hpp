@@ -123,7 +123,9 @@ Handle createHandle(charm::Runtime& rts, int receiverPe, void* buffer,
 /// One send buffer may be associated with many handles (multicast pattern).
 void assocLocal(Handle handle, int senderPe, const void* sendBuffer);
 
-/// CkDirect_put: transfer the whole channel-sized block.
+/// CkDirect_put: transfer the whole channel-sized block. The sender must
+/// leave its buffer unchanged until the receiver's callback: on InfiniBand
+/// the RDMA write reads it at delivery, as the HCA would.
 void put(Handle handle);
 
 /// CkDirect_ready: mark consumed and resume polling (== readyMark +

@@ -16,6 +16,7 @@ IbManager::IbManager(charm::Runtime& rts)
               "too many PEs for the CkDirect handle encoding");
   byPe_.resize(static_cast<std::size_t>(rts.numPes()));
   pollQueue_.resize(static_cast<std::size_t>(rts.numPes()));
+  landed_.assign(static_cast<std::size_t>(rts.numPes()), 0);
   hookInstalled_.assign(static_cast<std::size_t>(rts.numPes()), 0);
   rts_.setReestablishHook([this]() { reestablish(); });
   rts_.setGrowHook([this]() { onPesGrown(); });
@@ -26,6 +27,7 @@ void IbManager::onPesGrown() {
               "too many PEs for the CkDirect handle encoding");
   byPe_.resize(static_cast<std::size_t>(rts_.numPes()));
   pollQueue_.resize(static_cast<std::size_t>(rts_.numPes()));
+  landed_.resize(static_cast<std::size_t>(rts_.numPes()), 0);
   hookInstalled_.resize(static_cast<std::size_t>(rts_.numPes()), 0);
 }
 
@@ -212,6 +214,9 @@ void IbManager::issueWrites(std::int32_t handle) {
         ch.recvBuffer + static_cast<std::size_t>(b) * ch.strideBytes;
     write.remote_region = ch.recvRegion;
     write.bytes = ch.blockBytes;
+    // The sender may not touch its buffer until the receiver's callback
+    // (no sender completion exists), so the write reads it at delivery.
+    write.source_pinned = true;
     write.trace_id = ch.activeTraceId;
     if (b == ch.blockCount - 1)
       write.on_remote_delivered = [this, handle]() { onDelivered(handle); };
@@ -278,6 +283,7 @@ void IbManager::onDelivered(std::int32_t id) {
   }
   ch.marked = false;
   if (ch.inPollQueue) {
+    ++landed_[static_cast<std::size_t>(ch.recvPe)];
     // Model: an idle poll loop notices after poll_detect_latency; a busy PE
     // notices at its next pump anyway.
     const sim::Time detect = rts_.costs().poll_detect_latency_us;
@@ -301,6 +307,13 @@ void IbManager::pollScan(int pe) {
   trace.observePollQueue(queue.size());
   sched.charge(rts_.costs().poll_per_handle_us *
                static_cast<double>(queue.size()));
+  // No queued channel's write has landed since the last full scan, so no
+  // sentinel moved: the scan would keep the queue exactly as it is. Skip
+  // the sentinel reads (each one a cold line at the tail of a large
+  // buffer); the modeled cost above is charged all the same.
+  std::uint32_t& landed = landed_[static_cast<std::size_t>(pe)];
+  if (landed == 0) return;
+  landed = 0;
 
   // Swap the queue out before scanning: callbacks may re-arm handles
   // (readyPollQ) and push onto the live queue.
@@ -366,8 +379,10 @@ void IbManager::readyPollQ(std::int32_t handle) {
   ch.inPollQueue = true;
   pollQueue_[static_cast<std::size_t>(ch.recvPe)].push_back(handle);
   // If data already landed undetected, make sure a pump notices it promptly.
-  if (readSentinel(ch) != ch.oob)
+  if (readSentinel(ch) != ch.oob) {
+    ++landed_[static_cast<std::size_t>(ch.recvPe)];
     rts_.scheduler(ch.recvPe).poke(rts_.costs().poll_detect_latency_us);
+  }
 }
 
 void IbManager::setErrorCallback(std::int32_t handle,
@@ -425,6 +440,7 @@ void IbManager::reestablish() {
   // createHandle/assocLocal side effects under the new epoch.
   ++epoch_;
   for (auto& queue : pollQueue_) queue.clear();
+  std::fill(landed_.begin(), landed_.end(), 0);
   // PE-major, ordinal-minor sweep: deterministic and partition-independent
   // (reestablish runs in a serial phase, so plain loads are fine).
   for (std::size_t pe = 0; pe < byPe_.size(); ++pe) {

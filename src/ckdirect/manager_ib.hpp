@@ -5,12 +5,16 @@
 //    the out-of-band pattern into its last 8 bytes, and enqueues the handle
 //    on the receiver's polling queue.
 //  * assocLocal registers the send buffer and connects an RC queue pair.
-//  * put issues one RDMA write of the whole buffer.
+//  * put issues one RDMA write of the whole buffer, read from the sender's
+//    registered buffer at delivery (the put pins its source: the sender
+//    reuses it only after the receiver's callback).
 //  * The receiving RTS scans the polling queue at every scheduler pump; a
 //    handle whose last double word no longer equals the sentinel has
 //    received its data — it is dequeued and its callback invoked. The scan
 //    costs poll_per_handle_us per queued handle per pump, which is the
-//    §5.2 overhead the ReadyMark/ReadyPollQ split exists to bound.
+//    §5.2 overhead the ReadyMark/ReadyPollQ split exists to bound. The
+//    simulator skips the sentinel reads (not the modeled cost) of a scan
+//    on a PE where no queued channel's write landed since the last one.
 
 #include <array>
 #include <atomic>
@@ -165,6 +169,12 @@ class IbManager final : public Manager {
   /// phase — so shard-concurrent channel lookups never race a resize.
   std::vector<std::unique_ptr<PeChannels>> byPe_;
   std::vector<std::vector<std::int32_t>> pollQueue_;  // per PE
+  /// Per PE: landings on queued channels since the last full scan (raised
+  /// by onDelivered for a queued channel and by readyPollQ re-queueing one
+  /// whose data already landed). A scan on a PE whose count is 0 cannot
+  /// find a moved sentinel, so it charges its cost and skips the reads.
+  /// Receiver-context state, like the PE's queue.
+  std::vector<std::uint32_t> landed_;
   /// Per PE, one byte each: PEs of different shards set their flags
   /// concurrently, and std::vector<bool> would pack neighbours into one
   /// word (a read-modify-write race across the shard boundary).

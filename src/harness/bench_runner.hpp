@@ -132,7 +132,9 @@ class BenchRunner {
   void applyMetrics(charm::MachineConfig& machine) const;
   /// Snapshot the parallel engine's per-shard counters (executed events per
   /// shard, window count, lookahead) for the host JSON. Call after run(),
-  /// while the runtime is still alive; no-op for serial runtimes.
+  /// while the runtime is still alive; no-op for serial runtimes. One
+  /// snapshot per document: a bench that runs several sharded runtimes
+  /// reports per-run counters as labelled metric rows instead.
   void recordShardStats(const charm::Runtime& rts);
 
   /// Record one scalar result row. `labels` is an optional JSON object of

@@ -197,23 +197,37 @@ void IbVerbs::postRdmaWrite(RdmaWrite write) {
   }
   if (chunks == 1) {
     // Faithful RC path: all-or-nothing placement at the delivery instant.
-    // Copy the payload now so the sender may reuse its buffer after the
-    // local completion (which fires no later than delivery). A pooled block
-    // rather than a fresh vector: under port contention the delivery can
-    // fire later than the local completion, so capturing the source pointer
-    // instead of copying would read a recycled buffer.
-    util::PooledBuffer payload(write.bytes);
-    std::memcpy(payload.data(), src, write.bytes);
-    auto onLocal = std::move(write.on_local_complete);
-    auto onRemote = std::move(write.on_remote_delivered);
-    const sim::Time delivered = fabric_.submit(
-        qp.src, qp.dst, write.bytes, net::XferKind::kRdma,
-        [dst, payload = std::move(payload), onRemote = std::move(onRemote)]() mutable {
-          std::memcpy(dst, payload.data(), payload.size());
-          if (onRemote) onRemote();
-        },
-        write.trace_id);
-    if (onLocal) fabric_.engine().at(delivered, std::move(onLocal));
+    // The local completion fires at the contention-free bound submit()
+    // returns; under injection-port contention the delivery comes later. A
+    // pinned source stays valid and unchanged until delivery, so the
+    // delivery reads it directly: one copy, source to destination. Any
+    // other source may be reused from the local completion on, so its bytes
+    // are staged in a pooled block now and copied out at delivery.
+    net::Fabric::DeliverFn deliver;
+    if (write.source_pinned) {
+      auto readAtDelivery = [src, dst, bytes = write.bytes,
+                             onRemote = std::move(write.on_remote_delivered)]() {
+        std::memcpy(dst, src, bytes);
+        if (onRemote) onRemote();
+      };
+      static_assert(
+          net::Fabric::DeliverFn::fitsInline<decltype(readAtDelivery)>(),
+          "the pinned RDMA delivery closure must not spill to the heap");
+      deliver = std::move(readAtDelivery);
+    } else {
+      util::PooledBuffer payload(write.bytes);
+      std::memcpy(payload.data(), src, write.bytes);
+      deliver = [dst, payload = std::move(payload),
+                 onRemote = std::move(write.on_remote_delivered)]() {
+        std::memcpy(dst, payload.data(), payload.size());
+        if (onRemote) onRemote();
+      };
+    }
+    const sim::Time bound =
+        fabric_.submit(qp.src, qp.dst, write.bytes, net::XferKind::kRdma,
+                       std::move(deliver), write.trace_id);
+    if (write.on_local_complete)
+      fabric_.engine().at(bound, std::move(write.on_local_complete));
     return;
   }
 

@@ -10,7 +10,9 @@
 //    delivery ("if the last byte has been received ... the rest of the
 //    message has also been received", §2.1);
 //  * RDMA WRITE — one-sided; the payload is *really* copied into the target
-//    buffer at the modeled delivery time, and no receive-side completion is
+//    buffer at the modeled delivery time (straight from the source buffer
+//    when the caller pins it, see RdmaWrite::source_pinned; from a staging
+//    image taken at post time otherwise), and no receive-side completion is
 //    generated (matching hardware: the receiver must discover the data by
 //    inspecting memory — which is exactly CkDirect's sentinel poll). The
 //    simulator-only `on_remote_delivered` hook exists so the runtime can
@@ -124,8 +126,21 @@ class IbVerbs {
     void* remote_addr = nullptr;
     RegionId remote_region;
     std::size_t bytes = 0;
-    /// Send-side completion (local buffer reusable). Under fault injection
-    /// this is the ack-confirmed completion, like a real RC send CQE.
+    /// The caller keeps [local_addr, local_addr + bytes) valid and unchanged
+    /// until on_remote_delivered fires, not merely until on_local_complete.
+    /// The fault-free path then reads the source at delivery, like an HCA
+    /// DMA-reading a registered buffer, instead of staging a copy at post
+    /// time. CkDirect puts pin by the API contract (the sender reuses its
+    /// buffer only after the receiver's callback); the rendezvous transport
+    /// pins by retiring its send at the later of local completion and
+    /// delivery. Writes that reuse the source at local completion (PGAS)
+    /// must leave this false. The reliable link and the unordered-chunk
+    /// ablation always stage, whatever the flag.
+    bool source_pinned = false;
+    /// Send-side completion (local buffer reusable unless pinned). Fault-free
+    /// it fires at the contention-free delivery bound, which under injection
+    /// port contention can come *before* the delivery; under fault injection
+    /// it is the ack-confirmed completion, like a real RC send CQE.
     std::function<void()> on_local_complete;
     /// SIMULATOR-ONLY: fires when the payload lands in remote memory. Real
     /// hardware gives no such signal for a plain RDMA WRITE; the runtime

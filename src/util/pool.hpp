@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/require.hpp"
+
 namespace ckd::util {
 
 class BufferPool {
@@ -129,6 +131,17 @@ class PooledBuffer {
   const std::byte* data() const { return data_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+
+  /// Shrink the requested size in place. The block must stay in its size
+  /// class (or stay oversized), because release() files it by size.
+  void truncate(std::size_t bytes) {
+    const bool sameClass =
+        bytes > BufferPool::kMaxPooledBytes ||
+        BufferPool::classCapacity(bytes) == BufferPool::classCapacity(size_);
+    CKD_REQUIRE(bytes > 0 && bytes <= size_ && sameClass,
+                "truncate must keep the block in its size class");
+    size_ = bytes;
+  }
 
   void reset() {
     if (data_ != nullptr) BufferPool::instance().release(data_, size_);

@@ -55,6 +55,65 @@ TEST(Marshal, OverrunAborts) {
   EXPECT_DEATH(up.get<std::int32_t>(), "past the end");
 }
 
+// A marshalled send hands the packer's block to the message as its wire
+// image; every transport path must still deliver the payload intact: eager
+// (0 B, 100 B), rendezvous (32 KiB) and a rendezvous image past
+// BufferPool::kMaxPooledBytes (5 MiB), whose packer grew unpooled.
+class PackedSink final : public Chare {
+ public:
+  std::vector<std::byte> got;
+  std::size_t payloadBytes = 0;
+  int hits = 0;
+  void take(Message& msg) {
+    ++hits;
+    payloadBytes = msg.payloadBytes();
+    if (payloadBytes == 0) return;
+    Unpacker up(msg.payload());
+    const auto bytes = up.getSpan<std::byte>();
+    got.assign(bytes.begin(), bytes.end());
+  }
+};
+
+class PackedSendSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PackedSendSizes, MovedPackerRoundTripsIntact) {
+  const std::size_t n = GetParam();
+  Runtime rts(harness::abeMachine(2, 1));
+  auto proxy = makeArray<PackedSink>(
+      rts, "sink", 2, blockMap(2, rts.numPes()),
+      [](std::int64_t) { return std::make_unique<PackedSink>(); });
+  const EntryId ep = proxy.registerEntry("take", &PackedSink::take);
+  std::vector<std::byte> sent(n);
+  for (std::size_t i = 0; i < n; ++i)
+    sent[i] = static_cast<std::byte>((i * 131u + 7u) & 0xFFu);
+  Packer pk;
+  if (n > 0) pk.putSpan<std::byte>(sent);
+  rts.seed([&] { proxy[1].send(ep, std::move(pk)); });
+  rts.run();
+  EXPECT_EQ(pk.size(), 0u);  // the block left with the message
+  const PackedSink& sink = proxy[1].local();
+  ASSERT_EQ(sink.hits, 1);
+  EXPECT_EQ(sink.payloadBytes, n == 0 ? 0 : n + sizeof(std::uint64_t));
+  EXPECT_TRUE(sink.got == sent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PackedSendSizes,
+                         ::testing::Values(0, 100, 32 * 1024, 5u << 20));
+
+TEST(Marshal, GrowthPastPooledSizesKeepsBytes) {
+  // Many small appends walk the packer through every size class and past
+  // BufferPool::kMaxPooledBytes; each growth must carry the bytes along.
+  Packer pk;
+  const std::size_t count = (util::BufferPool::kMaxPooledBytes / 8) + 1000;
+  for (std::size_t i = 0; i < count; ++i) pk.put<std::uint64_t>(i);
+  ASSERT_EQ(pk.size(), count * 8);
+  Unpacker up(pk.bytes());
+  bool intact = true;
+  for (std::size_t i = 0; i < count; ++i)
+    intact = intact && up.get<std::uint64_t>() == i;
+  EXPECT_TRUE(intact);
+}
+
 // --- message wire format -------------------------------------------------------
 
 TEST(Message, WireRoundTrip) {
@@ -131,7 +190,7 @@ TEST(Array, SendInvokesEntry) {
   Fixture f;
   Packer pk;
   pk.put<std::int32_t>(42);
-  f.rts.seed([&] { f.proxy[5].send(f.epBump, pk); });
+  f.rts.seed([&] { f.proxy[5].send(f.epBump, std::move(pk)); });
   f.rts.run();
   EXPECT_EQ(f.proxy[5].local().bumps, 1);
   EXPECT_EQ(f.proxy[5].local().bumpBy, 42);
@@ -273,7 +332,7 @@ TEST(Transport, SmallMessagesGoEager) {
   Packer pk;
   std::vector<double> data(16, 1.0);
   pk.putVector(data);
-  f.rts.seed([&] { f.proxy[1].send(f.epBump, pk); });
+  f.rts.seed([&] { f.proxy[1].send(f.epBump, std::move(pk)); });
   f.rts.run();
   // Access the transport through message counters: eager only.
   EXPECT_EQ(f.proxy[1].local().bumps, 1);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -196,6 +197,70 @@ TEST(CkDirectIb, PollQueueCostChargedPerHandle) {
   const auto& costs = rts.costs();
   EXPECT_GE(rts.processor(1).busyTotal(),
             11 * costs.poll_per_handle_us + costs.callback_overhead_us - 1e-9);
+}
+
+TEST(CkDirectIb, PutReadsSourceAtDelivery) {
+  // Zero-copy, as on the HCA: the RDMA write reads the sender's registered
+  // buffer when it lands, not when it was posted. The API contract forbids
+  // touching the buffer before the receiver's callback; this test breaks
+  // the contract on purpose to observe which bytes the wire carried.
+  charm::Runtime rts(harness::abeMachine(2, 1));
+  Channel ch(rts, 0, 1, 8192);  // 64 KB: in flight for tens of us
+  std::fill(ch.send.begin(), ch.send.end(), 1.0);
+  bool rewrittenInFlight = false;
+  rts.seed([&] {
+    put(ch.handle);
+    rts.engine().after(5.0, [&] {
+      rewrittenInFlight =
+          rts.ibVerbs().rdmaWritesPosted() == 1 && ch.arrivals == 0;
+      std::fill(ch.send.begin(), ch.send.end(), 2.0);
+    });
+  });
+  rts.run();
+  EXPECT_TRUE(rewrittenInFlight);
+  EXPECT_EQ(ch.arrivals, 1);
+  EXPECT_DOUBLE_EQ(ch.recv.front(), 2.0);
+  EXPECT_DOUBLE_EQ(ch.recv.back(), 2.0);
+}
+
+TEST(CkDirectIb, IdleScansKeepQueueOrderAndChargePerHandle) {
+  // Pumps on a PE where no queued channel's data landed still pay the scan
+  // for every queued handle and leave the queue as it was. Data that lands
+  // later is detected in queue order, not landing order.
+  charm::Runtime rts(harness::abeMachine(2, 1));
+  std::vector<double> send(16, 3.0);
+  std::vector<std::vector<double>> recv(3, std::vector<double>(16, 0.0));
+  std::vector<int> fired;
+  std::vector<Handle> handles;
+  for (int i = 0; i < 3; ++i) {
+    handles.push_back(createHandle(rts, 1, recv[static_cast<std::size_t>(i)].data(),
+                                   16 * 8, kOob, [&fired, i] { fired.push_back(i); }));
+    assocLocal(handles.back(), 0, send.data());
+  }
+  const auto* mgr = dynamic_cast<IbManager*>(&Manager::of(rts));
+  ASSERT_NE(mgr, nullptr);
+  const auto& costs = rts.costs();
+
+  rts.seed([&] {
+    for (int k = 1; k <= 3; ++k) rts.scheduler(1).poke(static_cast<double>(k));
+  });
+  rts.run();
+  EXPECT_EQ(mgr->pollScans(), 3u);
+  EXPECT_EQ(mgr->pollQueueLength(1), 3u);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_NEAR(rts.processor(1).busyTotal(), 3 * 3 * costs.poll_per_handle_us,
+              1e-9);
+
+  // Keep PE 1 busy while the puts for handles 2 and 0 (in that order) land,
+  // so one scan sees both.
+  rts.scheduler(1).enqueueSystemWork(100.0, [] {});
+  put(handles[2]);
+  put(handles[0]);
+  rts.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
+  EXPECT_EQ(mgr->pollQueueLength(1), 1u);
+  EXPECT_DOUBLE_EQ(recv[0].back(), 3.0);
+  EXPECT_DOUBLE_EQ(recv[2].back(), 3.0);
 }
 
 // --- Blue Gene/P implementation --------------------------------------------------

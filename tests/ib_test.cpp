@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -122,6 +124,47 @@ TEST_F(IbTest, RdmaWriteMovesRealBytes) {
   EXPECT_TRUE(localDone);
   EXPECT_TRUE(remoteDone);
   EXPECT_EQ(verbs_.rdmaWritesPosted(), 1u);
+}
+
+TEST_F(IbTest, StagedWriteKeepsPostTimeBytesUnderPortContention) {
+  // A write that does not pin its source may reuse it from the local
+  // completion on (the PGAS/DART rule). With two bulk writes sharing node
+  // 0's injection port, the local completion fires at the contention-free
+  // bound, before the data lands; the staged image taken at post time, not
+  // the overwritten source, must be what arrives.
+  constexpr std::size_t kBytes = 64 * 1024;
+  std::vector<std::byte> srcA(kBytes, std::byte{1}), srcB(kBytes, std::byte{2});
+  std::vector<std::byte> dstA(kBytes), dstB(kBytes);
+  auto post = [&](std::vector<std::byte>& src, std::vector<std::byte>& dst,
+                  int dstPe, std::function<void()> onLocal,
+                  std::function<void()> onRemote) {
+    ib::IbVerbs::RdmaWrite w;
+    w.qp = verbs_.connect(0, dstPe);
+    w.local_addr = src.data();
+    w.local_region = verbs_.registerMemory(0, src.data(), src.size());
+    w.remote_addr = dst.data();
+    w.remote_region = verbs_.registerMemory(dstPe, dst.data(), dst.size());
+    w.bytes = kBytes;
+    w.on_local_complete = std::move(onLocal);
+    w.on_remote_delivered = std::move(onRemote);
+    verbs_.postRdmaWrite(std::move(w));
+  };
+  bool aLanded = false, overwroteBeforeLanding = false;
+  post(
+      srcA, dstA, 1,
+      [&] {
+        overwroteBeforeLanding = !aLanded;
+        std::fill(srcA.begin(), srcA.end(), std::byte{0xEE});
+      },
+      [&] { aLanded = true; });
+  post(srcB, dstB, 2, {}, {});
+  engine_.run();
+  EXPECT_TRUE(aLanded);
+  EXPECT_TRUE(overwroteBeforeLanding);
+  EXPECT_EQ(std::count(dstA.begin(), dstA.end(), std::byte{1}),
+            static_cast<std::ptrdiff_t>(kBytes));
+  EXPECT_EQ(std::count(dstB.begin(), dstB.end(), std::byte{2}),
+            static_cast<std::ptrdiff_t>(kBytes));
 }
 
 TEST_F(IbTest, SenderMayOverwriteAfterPost) {

@@ -158,7 +158,7 @@ TEST_P(DeliveryFuzz, RandomSendsAllDeliveredOnce) {
     for (int i = 0; i < sends; ++i) {
       charm::Packer pk;
       pk.put<std::int64_t>(i);
-      proxy[target[static_cast<std::size_t>(i)]].send(ep, pk);
+      proxy[target[static_cast<std::size_t>(i)]].send(ep, std::move(pk));
     }
   });
   rts.run();
@@ -307,7 +307,7 @@ TEST(Conservation, ProcessorTimeMatchesDeliveredWork) {
     for (int i = 0; i < sends; ++i) {
       charm::Packer pk;
       pk.put<std::int64_t>(i);
-      proxy[i % elems].send(ep, pk);
+      proxy[i % elems].send(ep, std::move(pk));
     }
   });
   rts.run();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "charm/maps.hpp"
@@ -43,7 +44,9 @@ struct Rig {
     Packer pk;
     pk.putVector(values);
     rts.engine().after(0.0,
-                       [this, dest, pk = std::move(pk)] { proxy[dest].send(ep, pk); });
+                       [this, dest, pk = std::move(pk)]() mutable {
+                         proxy[dest].send(ep, std::move(pk));
+                       });
     rts.run();
   }
   Runtime rts;
@@ -85,7 +88,7 @@ TEST(TransportCounters, RendezvousUsedAboveThreshold) {
   std::vector<double> big(8192, 1.0);  // 64 KB payload: rendezvous
   Packer pk;
   pk.putVector(big);
-  rig.rts.engine().after(1.0, [&] { rig.proxy[1].send(rig.ep, pk); });
+  rig.rts.engine().after(1.0, [&] { rig.proxy[1].send(rig.ep, std::move(pk)); });
   rig.rts.run();
   EXPECT_EQ(rig.proxy[1].local().hits, 2);
   EXPECT_EQ(rig.rts.ibVerbs().rdmaWritesPosted(), 1u);
@@ -97,6 +100,59 @@ TEST(TransportCounters, RendezvousRegionsAreReleased) {
   EXPECT_EQ(rig.proxy[1].local().hits, 5);
   EXPECT_EQ(rig.rts.ibVerbs().regionCount(0), 0u);
   EXPECT_EQ(rig.rts.ibVerbs().regionCount(1), 0u);
+}
+
+TEST(TransportCounters, SameNodeRendezvousToOnePeStaysIntact) {
+  // PEs 0 and 1 share a node and each rendezvous 64 KB to PE 2 at the same
+  // instant. Their payload writes share the node's injection port, so a
+  // local completion can fire before its write lands; the transport keeps
+  // each message image pinned until both have happened, so both payloads
+  // arrive intact and every region is released at quiescence.
+  class Collector final : public Chare {
+   public:
+    std::vector<std::vector<double>> got;
+    void take(Message& msg) {
+      Unpacker up(msg.payload());
+      got.push_back(up.getVector<double>());
+    }
+  };
+  Runtime rts(harness::abeMachine(4, 2));
+  auto proxy = makeArray<Collector>(
+      rts, "col", 4, [](std::int64_t i) { return static_cast<int>(i); },
+      [](std::int64_t) { return std::make_unique<Collector>(); });
+  const EntryId ep = proxy.registerEntry("take", &Collector::take);
+  rts.seed([&] {
+    for (int src = 0; src < 2; ++src) {
+      std::vector<double> values(8192);
+      for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = src + 0.001 * static_cast<double>(i);
+      Packer pk;
+      pk.putVector(values);
+      Envelope env;
+      env.kind = MsgKind::kUser;
+      env.srcPe = src;
+      env.dstPe = 2;
+      env.arrayId = proxy.id();
+      env.elemIndex = 2;
+      env.entry = ep;
+      rts.sendMessage(Message::adopt(env, std::move(pk)));
+    }
+  });
+  rts.run();
+  const auto& got = proxy[2].local().got;
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(rts.ibVerbs().rdmaWritesPosted(), 2u);
+  for (const std::vector<double>& values : got) {
+    ASSERT_EQ(values.size(), 8192u);
+    const double src = values[0];
+    EXPECT_TRUE(src == 0.0 || src == 1.0);
+    bool intact = true;
+    for (std::size_t i = 0; i < values.size(); ++i)
+      intact = intact && values[i] == src + 0.001 * static_cast<double>(i);
+    EXPECT_TRUE(intact);
+  }
+  EXPECT_NE(got[0][0], got[1][0]);
+  for (int pe = 0; pe < 4; ++pe) EXPECT_EQ(rts.ibVerbs().regionCount(pe), 0u);
 }
 
 TEST(HeaderModel, SmallerHeaderShortensEagerPingRtt) {
@@ -134,7 +190,7 @@ TEST(BgpRequests, PoolRecyclesAcrossManyMessages) {
       Packer pk;
       std::vector<double> v(8, static_cast<double>(i));
       pk.putVector(v);
-      rig.proxy[1].send(rig.ep, pk);
+      rig.proxy[1].send(rig.ep, std::move(pk));
     }
   });
   rig.rts.run();
@@ -160,7 +216,7 @@ TEST(Ordering, SameSizeMessagesArriveInSendOrder) {
     for (std::int64_t i = 0; i < 20; ++i) {
       Packer pk;
       pk.put<std::int64_t>(i);
-      proxy[1].send(ep, pk);
+      proxy[1].send(ep, std::move(pk));
     }
   });
   rts.run();
