@@ -176,7 +176,6 @@ void CheckpointManager::takeCheckpoint(ArrayId array, std::uint32_t round,
     ++snap.expected;
   }
 
-  ++checkpointsTaken_;
   bytesPacked_ += total;
   lastCkptAt_ = now;
   rts_.engine().trace().record(now, rts_.record(array).hostPes.front(),
@@ -362,7 +361,6 @@ void CheckpointManager::restore() {
   rts_.deliverReductionResult(rts_.record(snap->rootArray), /*pos=*/0,
                               snap->round, snap->agg);
 
-  ++restarts_;
   recoveryUs_ += now - crashAt_;
   rts_.engine().trace().record(now, crashedPe_, sim::TraceTag::kCkptRestore,
                                now - crashAt_);

@@ -84,9 +84,7 @@ class CheckpointManager {
   int missedBeats() const;
 
   // --- stats (ProfileReport / bench JSON) -----------------------------------
-  std::uint64_t checkpointsTaken() const { return checkpointsTaken_; }
   std::uint64_t bytesPacked() const { return bytesPacked_; }
-  std::uint64_t restarts() const { return restarts_; }
   /// Virtual time spent between crash and completed restore, summed.
   sim::Time recoveryUs() const { return recoveryUs_; }
   int crashesPlanned() const { return static_cast<int>(crashes_.size()); }
@@ -143,9 +141,7 @@ class CheckpointManager {
   sim::Time crashAt_ = 0.0;
   int pendingCrashes_ = 0;
   bool armed_ = false;
-  std::uint64_t checkpointsTaken_ = 0;
   std::uint64_t bytesPacked_ = 0;
-  std::uint64_t restarts_ = 0;
   sim::Time recoveryUs_ = 0.0;
 };
 

@@ -178,7 +178,6 @@ void LifecycleManager::doScaleOut(int addPes) {
   rts_.growMachine();
   const int newPes = rts_.numPes();
   states_.resize(static_cast<std::size_t>(newPes), PeState::kJoining);
-  ++scaleOuts_;
   rts_.engine().trace().record(rts_.engine().now(), oldPes,
                                sim::TraceTag::kLifeScaleOut,
                                static_cast<double>(newPes));
@@ -306,7 +305,6 @@ void LifecycleManager::performMigration() {
   // An outage began between the capture and this boundary: drop the capture
   // — the rollback replays from an earlier cut and re-drives everything.
   if (rts_.ckpt_ != nullptr && rts_.ckpt_->outageInProgress()) {
-    ++migrationsAborted_;
     rts_.engine().trace().record(rts_.engine().now(), 0,
                                  sim::TraceTag::kLifeAbort, 0.0);
     ++migrationEpoch_;
@@ -456,7 +454,6 @@ void LifecycleManager::retireEmptyDrains() {
     // Retired: no chare work, no heartbeats, no buddy duty — but the
     // scheduler keeps pumping so late arrivals forward to the new owners.
     rts_.schedulers_[static_cast<std::size_t>(pe)]->setRetired(true);
-    ++drains_;
     rts_.engine().trace().record(rts_.engine().now(), pe,
                                  sim::TraceTag::kLifeRetire,
                                  static_cast<double>(pe));
@@ -487,7 +484,6 @@ void LifecycleManager::onPeCrash(int victim) {
     // Crash mid-drain: the in-flight migration cannot complete — entries
     // were dropped silently and placement will be reverted by the global
     // rollback. Cancel it; the post-restore cut re-drives the drain.
-    ++migrationsAborted_;
     rts_.engine().trace().record(rts_.engine().now(), victim,
                                  sim::TraceTag::kLifeAbort,
                                  static_cast<double>(victim));

@@ -135,12 +135,18 @@ class LifecycleManager {
   void onRestore(const std::vector<std::uint8_t>& image);
 
   // --- stats (bench JSON) ----------------------------------------------------
-  std::uint64_t scaleOuts() const { return scaleOuts_; }
-  std::uint64_t drainsCompleted() const { return drains_; }
+  std::uint64_t scaleOuts() const {
+    return rts_.fabric().tagCount(sim::TraceTag::kLifeScaleOut);
+  }
+  std::uint64_t drainsCompleted() const {
+    return rts_.fabric().tagCount(sim::TraceTag::kLifeRetire);
+  }
   std::uint64_t elementsMigrated() const { return elementsMigrated_; }
   std::uint64_t handoffBytesShipped() const { return handoffBytes_; }
   std::uint64_t handoffRetries() const { return handoffRetries_; }
-  std::uint64_t migrationsAborted() const { return migrationsAborted_; }
+  std::uint64_t migrationsAborted() const {
+    return rts_.fabric().tagCount(sim::TraceTag::kLifeAbort);
+  }
   /// Stale handoff arrivals NAKed on the handoff link itself.
   std::uint64_t handoffStaleNaks() const { return handoffLink_.staleNaks(); }
 
@@ -205,12 +211,9 @@ class LifecycleManager {
   /// deferred handoff closures from an older epoch no-op.
   std::uint64_t migrationEpoch_ = 0;
 
-  std::uint64_t scaleOuts_ = 0;
-  std::uint64_t drains_ = 0;
   std::uint64_t elementsMigrated_ = 0;
   std::uint64_t handoffBytes_ = 0;
   std::uint64_t handoffRetries_ = 0;
-  std::uint64_t migrationsAborted_ = 0;
 };
 
 }  // namespace ckd::charm

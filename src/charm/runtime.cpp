@@ -15,8 +15,6 @@
 
 namespace ckd::charm {
 
-thread_local int Runtime::currentPe_ = -1;
-
 Runtime::Runtime(MachineConfig config) : config_(std::move(config)) {
   CKD_REQUIRE(config_.topology != nullptr, "Runtime requires a topology");
   if (config_.shards > 0) {
@@ -37,11 +35,6 @@ Runtime::Runtime(MachineConfig config) : config_(std::move(config)) {
     pcfg.threads = config_.shardThreads;
     pcfg.lookahead = config_.netParams.wireLatencyFloor();
     parallel_ = std::make_unique<sim::ParallelEngine>(pcfg, std::move(shardOf));
-    // Chain ids and message sequences switch to per-PE minting so they are
-    // functions of per-PE order alone (partition-independent).
-    forEachEngine([this](sim::Engine& eng) {
-      eng.trace().setPerPeMinting(&parallel_->mintCounters());
-    });
     peMsgSeq_.assign(static_cast<std::size_t>(topo.numPes()) + 1, 0);
     // Unverified-under-sharding paths are refused loudly rather than run
     // racily: probabilistic wire faults draw from one RNG stream (pe_crash
@@ -56,7 +49,14 @@ Runtime::Runtime(MachineConfig config) : config_(std::move(config)) {
   fabric_ = std::make_unique<net::Fabric>(
       parallel_ ? parallel_->serialEngine() : engine_, config_.topology,
       config_.netParams);
-  if (parallel_) fabric_->attachParallel(parallel_.get());
+  if (parallel_) {
+    fabric_->attachParallel(parallel_.get());
+    // Chain ids and message sequences switch to per-PE minting so they are
+    // functions of per-PE order alone (partition-independent).
+    forEachEngine([this](sim::Engine& eng) {
+      eng.trace().setPerPeMinting(&parallel_->mintCounters());
+    });
+  }
   if (config_.faults.armed())
     fabric_->installFaults(config_.faults, config_.faultSeed);
   const int pes = numPes();

@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "charm/chare.hpp"
@@ -285,12 +286,7 @@ class Runtime {
   /// serial engine and then each shard's engine in shard order.
   template <class F>
   void forEachEngine(F&& fn) {
-    if (!parallel_) {
-      fn(engine_);
-      return;
-    }
-    fn(parallel_->serialEngine());
-    for (int s = 0; s < parallel_->shards(); ++s) fn(parallel_->shardEngine(s));
+    fabric_->forEachEngine(std::forward<F>(fn));
   }
 
   /// Events executed across every engine of the machine.
@@ -416,7 +412,7 @@ class Runtime {
   MigrateFn migrateHook_;
   std::uint32_t epoch_ = 0;
   /// Thread-local: each shard worker executes handlers for its own PEs.
-  static thread_local int currentPe_;
+  inline static thread_local int currentPe_ = -1;
   /// Legacy mode: one global message sequence (the historical stream).
   std::uint64_t nextSeq_ = 0;
   /// Windowed mode: per-PE sequence spaces, seq = (pe+1)<<40 | counter.

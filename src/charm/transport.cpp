@@ -52,7 +52,6 @@ std::size_t IbTransport::modeledWireBytes(const Message& msg) const {
 }
 
 void IbTransport::sendEager(MessagePtr msg) {
-  eagerSends_.fetch_add(1, std::memory_order_relaxed);
   const int src = msg->env().srcPe;
   const int dst = msg->env().dstPe;
   const std::uint64_t traceId = msg->env().traceId;
@@ -100,7 +99,6 @@ void IbTransport::sendRendezvous(MessagePtr msg) {
               "pending-send/recv maps and run-time memory registration are "
               "cross-shard state (keep messages below the RDMA threshold, or "
               "use CkDirect for bulk transfers)");
-  ++rendezvousSends_;
   if (msg->env().sentAt < 0.0) msg->env().sentAt = runtime_.engine().now();
   const Envelope env = msg->env();
   const std::uint64_t seq = env.seq;
@@ -289,7 +287,6 @@ void IbTransport::onRdmaError(std::uint64_t seq, fault::WcStatus /*status*/) {
   CKD_REQUIRE(pending.attempts < rel.app_retry_budget,
               "rendezvous RDMA write kept failing past the app retry budget");
   ++pending.attempts;
-  ++rdmaRetries_;
   // Re-establish the QP (fresh PSN) and re-issue the write after the base
   // timeout — modeled on the machine layer reacting to an async QP event.
   verbs_.resetQp(verbs_.connect(pending.msg->env().srcPe,
@@ -384,7 +381,6 @@ void BgpTransport::reset() {
 }
 
 void BgpTransport::send(MessagePtr msg) {
-  ++sends_;
   if (msg->env().sentAt < 0.0) msg->env().sentAt = runtime_.engine().now();
   msg->sealHeader();
   runtime_.engine().trace().recordSpan(
@@ -411,7 +407,6 @@ void BgpTransport::post(MessagePtr msg, int attempts) {
                    dcmf_.fabric().faults()->plan().rel;
                CKD_REQUIRE(attempts < rel.app_retry_budget,
                            "BGP send kept failing past the app retry budget");
-               ++resends_;
                dcmf_.resetChannel(src, dst);
                runtime_.engine().after(
                    rel.timeout_us, [this, msg, attempts]() mutable {

@@ -10,7 +10,6 @@
 //    through the DCMF two-sided active-message send; no RDMA cut-over
 //    existed on Surveyor.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,11 +32,6 @@ class Transport {
   /// software costs (pack/send overhead) are charged by Runtime before this.
   virtual void send(MessagePtr msg) = 0;
 
-  virtual std::uint64_t eagerSends() const { return 0; }
-  virtual std::uint64_t rendezvousSends() const { return 0; }
-  /// RDMA payload writes re-issued after an error completion (faults only).
-  virtual std::uint64_t rdmaRetries() const { return 0; }
-
   /// Fail-stop: `pe` just died. Flush transport-level reliable flows that
   /// touch it (pending entries drop silently; rollback re-drives them).
   virtual void onPeCrash(int pe) { (void)pe; }
@@ -50,12 +44,6 @@ class IbTransport final : public Transport {
  public:
   IbTransport(Runtime& runtime, ib::IbVerbs& verbs);
   void send(MessagePtr msg) override;
-
-  std::uint64_t eagerSends() const override {
-    return eagerSends_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t rendezvousSends() const override { return rendezvousSends_; }
-  std::uint64_t rdmaRetries() const override { return rdmaRetries_; }
 
   void onPeCrash(int pe) override {
     if (link_) link_->flushPe(pe);
@@ -105,12 +93,6 @@ class IbTransport final : public Transport {
   };
   std::map<std::uint64_t, PendingRecv> pendingRecvs_;
   std::unique_ptr<fault::ReliableLink> link_;  ///< lazy; only with faults
-  /// Eager sends run on the source PE's shard thread; the counter is the
-  /// only cross-shard state on that path (the link itself has its own lock).
-  std::atomic<std::uint64_t> eagerSends_{0};
-  // Rendezvous state is single-threaded: sendRendezvous refuses --shards.
-  std::uint64_t rendezvousSends_ = 0;
-  std::uint64_t rdmaRetries_ = 0;
 
   /// Modeled size of a rendezvous control message (request-to-send / ack).
   static constexpr std::size_t kControlBytes = 32;
@@ -122,9 +104,6 @@ class BgpTransport final : public Transport {
  public:
   BgpTransport(Runtime& runtime, dcmf::DcmfContext& dcmf);
   void send(MessagePtr msg) override;
-
-  std::uint64_t eagerSends() const override { return sends_; }
-  std::uint64_t rdmaRetries() const override { return resends_; }
 
   void reset() override;
 
@@ -140,8 +119,6 @@ class BgpTransport final : public Transport {
   dcmf::ProtocolId protocol_ = -1;
   std::vector<std::unique_ptr<dcmf::Request>> requestPool_;
   std::vector<dcmf::Request*> freeRequests_;
-  std::uint64_t sends_ = 0;
-  std::uint64_t resends_ = 0;
 };
 
 }  // namespace ckd::charm

@@ -225,7 +225,6 @@ void BgpManager::onArrived(std::int32_t id) {
   // for the processor but never for the message queue. Strided channels
   // first scatter the staged payload into place — one more copy, charged
   // at the node's memcpy rate.
-  ++callbacks_;
   rts_.engine().trace().recordSpan(
       rts_.engine().now(), ch.recvPe, sim::TraceTag::kDirectCallback,
       sim::SpanPhase::kEnd, ch.activeTraceId, ch.activeParentId, 0.0, id);

@@ -48,7 +48,9 @@ class BgpManager final : public Manager {
 
   std::size_t pollQueueLength(int /*pe*/) const override { return 0; }
   std::uint64_t putsIssued() const override { return puts_; }
-  std::uint64_t callbacksInvoked() const override { return callbacks_; }
+  std::uint64_t callbacksInvoked() const override {
+    return rts_.fabric().tagCount(sim::TraceTag::kDirectCallback);
+  }
   std::uint64_t putRetries() const override { return putRetries_; }
 
   /// Restart protocol (runs as the runtime's reestablish hook): reset every
@@ -100,7 +102,6 @@ class BgpManager final : public Manager {
   dcmf::ProtocolId protocol_ = -1;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::uint64_t puts_ = 0;
-  std::uint64_t callbacks_ = 0;
   std::uint64_t putRetries_ = 0;
   /// Bumped by reestablish(); deferred closures from an older epoch no-op.
   std::uint32_t epoch_ = 0;

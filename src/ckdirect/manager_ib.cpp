@@ -299,7 +299,6 @@ void IbManager::onDelivered(std::int32_t id) {
 void IbManager::pollScan(int pe) {
   auto& queue = pollQueue_[static_cast<std::size_t>(pe)];
   if (queue.empty()) return;
-  scans_.fetch_add(1, std::memory_order_relaxed);
   charm::Scheduler& sched = rts_.scheduler(pe);
   sim::TraceRecorder& trace = rts_.engine().trace();
   trace.recordLazy(rts_.engine().now(), pe, sim::TraceTag::kDirectPollScan,
@@ -327,7 +326,6 @@ void IbManager::pollScan(int pe) {
     }
     ch.inPollQueue = false;
     ch.detected = true;
-    callbacks_.fetch_add(1, std::memory_order_relaxed);
     // Timestamps use the context clock (currentTime reflects the poll +
     // callback charges), so the detect -> callback gap is the modeled
     // handler overhead, not zero.

@@ -53,13 +53,10 @@ class IbManager final : public Manager {
     return puts_.load(std::memory_order_relaxed);
   }
   std::uint64_t callbacksInvoked() const override {
-    return callbacks_.load(std::memory_order_relaxed);
+    return rts_.fabric().tagCount(sim::TraceTag::kDirectCallback);
   }
   std::uint64_t putRetries() const override {
     return putRetries_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t pollScans() const {
-    return scans_.load(std::memory_order_relaxed);
   }
 
   /// Restart protocol (runs as the runtime's reestablish hook): re-register
@@ -179,12 +176,11 @@ class IbManager final : public Manager {
   /// concurrently, and std::vector<bool> would pack neighbours into one
   /// word (a read-modify-write race across the shard boundary).
   std::vector<std::uint8_t> hookInstalled_;
-  /// Host-stat counters: puts tick on sender shards, scans/callbacks on
-  /// receiver shards; the channels themselves are touched by at most one
-  /// shard per window (sender and receiver sides alternate across windows).
+  /// Logical CkDirect_put calls (the direct.put tag counts issued
+  /// attempts instead) and transparent re-puts. Both tick on sender shards;
+  /// the channels themselves are touched by at most one shard per window
+  /// (sender and receiver sides alternate across windows).
   std::atomic<std::uint64_t> puts_{0};
-  std::atomic<std::uint64_t> callbacks_{0};
-  std::atomic<std::uint64_t> scans_{0};
   std::atomic<std::uint64_t> putRetries_{0};
   /// Bumped by reestablish(); deferred closures from an older epoch no-op.
   std::uint32_t epoch_ = 0;

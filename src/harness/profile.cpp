@@ -62,18 +62,13 @@ ProfileReport captureProfile(charm::Runtime& rts) {
         static_cast<double>(rts.scheduler(pe).messagesProcessed()));
     report.pumpsPerPe.add(static_cast<double>(rts.scheduler(pe).pumps()));
   }
-  report.fabricMessages = rts.fabric().messagesSubmitted();
   report.fabricBytes = rts.fabric().bytesSubmitted();
   report.runtimeMessages = rts.messagesSent();
   // peek, not of(): profiling must never create the manager it observes.
-  if (const direct::Manager* mgr = direct::Manager::peek(rts)) {
+  if (const direct::Manager* mgr = direct::Manager::peek(rts))
     report.ckdirectPuts = mgr->putsIssued();
-    report.ckdirectCallbacks = mgr->callbacksInvoked();
-  }
   if (const charm::CheckpointManager* ckpt = rts.checkpoints()) {
-    report.checkpointsTaken = ckpt->checkpointsTaken();
     report.checkpointBytes = ckpt->bytesPacked();
-    report.restarts = ckpt->restarts();
     report.recoveryUs = ckpt->recoveryUs();
     report.heartbeatPeriodUs = ckpt->beatPeriodUs();
     report.heartbeatMisses = ckpt->missedBeats();
@@ -87,12 +82,9 @@ ProfileReport captureProfile(charm::Runtime& rts) {
     report.ringOverflow = rings.overflow;
   }
   if (const charm::LifecycleManager* life = rts.lifecycle()) {
-    report.scaleOuts = life->scaleOuts();
-    report.drainsCompleted = life->drainsCompleted();
     report.elementsMigrated = life->elementsMigrated();
     report.handoffBytes = life->handoffBytesShipped();
     report.handoffRetries = life->handoffRetries();
-    report.migrationsAborted = life->migrationsAborted();
   }
   captureTraceMetrics(report, rts);
   if (rts.metricsArmed()) report.telemetry = rts.metricsJson();
@@ -113,11 +105,12 @@ std::string ProfileReport::toString() const {
         << "  (pumps/PE mean " << util::formatFixed(pumpsPerPe.mean(), 1)
         << ")\n";
   }
-  out << "  fabric        " << fabricMessages << " transfers, " << fabricBytes
-      << " bytes; runtime messages " << runtimeMessages << "\n";
+  out << "  fabric        " << tag(sim::TraceTag::kFabricSubmit)
+      << " transfers, " << fabricBytes << " bytes; runtime messages "
+      << runtimeMessages << "\n";
   if (ckdirectPuts > 0) {
     out << "  ckdirect      " << ckdirectPuts << " puts, "
-        << ckdirectCallbacks << " callbacks\n";
+        << tag(sim::TraceTag::kDirectCallback) << " callbacks\n";
   }
   if (layerSum_us > 0.0) {
     out << "  layers        ";
@@ -135,9 +128,6 @@ std::string ProfileReport::toString() const {
         << " us (min " << util::formatFixed(rendezvousRtt_us.min(), 2)
         << ", max " << util::formatFixed(rendezvousRtt_us.max(), 2) << ")\n";
   }
-  const auto tag = [this](sim::TraceTag t) {
-    return tagCounts[static_cast<std::size_t>(t)];
-  };
   const std::uint64_t faultsInjected =
       tag(sim::TraceTag::kFaultDrop) + tag(sim::TraceTag::kFaultDelay) +
       tag(sim::TraceTag::kFaultDuplicate) + tag(sim::TraceTag::kFaultCorrupt) +
@@ -165,6 +155,8 @@ std::string ProfileReport::toString() const {
     }
     out << "\n";
   }
+  const std::uint64_t checkpointsTaken = tag(sim::TraceTag::kCkptTaken);
+  const std::uint64_t restarts = tag(sim::TraceTag::kCkptRestore);
   if (checkpointsTaken > 0 || restarts > 0) {
     out << "  checkpoints   " << checkpointsTaken << " taken ("
         << checkpointBytes << " bytes packed), " << restarts << " restarts";
@@ -180,6 +172,9 @@ std::string ProfileReport::toString() const {
         << " windows; ring " << ringPushes << " pushes in " << ringBatches
         << " batches, " << ringOverflow << " overflowed\n";
   }
+  const std::uint64_t scaleOuts = tag(sim::TraceTag::kLifeScaleOut);
+  const std::uint64_t drainsCompleted = tag(sim::TraceTag::kLifeRetire);
+  const std::uint64_t migrationsAborted = tag(sim::TraceTag::kLifeAbort);
   if (scaleOuts > 0 || drainsCompleted > 0 || migrationsAborted > 0) {
     out << "  lifecycle     " << scaleOuts << " scale-outs, "
         << drainsCompleted << " drains (" << elementsMigrated
@@ -239,15 +234,17 @@ util::JsonValue toJson(const ProfileReport& report) {
     obj.set("messages_per_pe", statsJson(report.messagesPerPe));
     obj.set("pumps_per_pe", statsJson(report.pumpsPerPe));
   }
+  const auto tag = [&report](sim::TraceTag t) { return report.tag(t); };
   JsonValue fabric = JsonValue::object();
-  fabric.set("messages", JsonValue(report.fabricMessages));
+  fabric.set("messages", JsonValue(tag(sim::TraceTag::kFabricSubmit)));
   fabric.set("bytes", JsonValue(report.fabricBytes));
   obj.set("fabric", std::move(fabric));
   obj.set("runtime_messages", JsonValue(report.runtimeMessages));
-  if (report.ckdirectPuts > 0 || report.ckdirectCallbacks > 0) {
+  const std::uint64_t callbacks = tag(sim::TraceTag::kDirectCallback);
+  if (report.ckdirectPuts > 0 || callbacks > 0) {
     JsonValue ckd = JsonValue::object();
     ckd.set("puts", JsonValue(report.ckdirectPuts));
-    ckd.set("callbacks", JsonValue(report.ckdirectCallbacks));
+    ckd.set("callbacks", JsonValue(callbacks));
     obj.set("ckdirect", std::move(ckd));
   }
 
@@ -277,9 +274,6 @@ util::JsonValue toJson(const ProfileReport& report) {
   if (report.rendezvousRtt_us.count() > 0)
     obj.set("rendezvous_rtt_us", statsJson(report.rendezvousRtt_us));
 
-  const auto tag = [&report](sim::TraceTag t) {
-    return report.tagCounts[static_cast<std::size_t>(t)];
-  };
   const std::uint64_t faultsInjected =
       tag(sim::TraceTag::kFaultDrop) + tag(sim::TraceTag::kFaultDelay) +
       tag(sim::TraceTag::kFaultDuplicate) + tag(sim::TraceTag::kFaultCorrupt) +
@@ -310,11 +304,13 @@ util::JsonValue toJson(const ProfileReport& report) {
       rel.set("attempts_per_msg", statsJson(report.deliveryAttempts));
     obj.set("reliability", std::move(rel));
   }
-  if (report.checkpointsTaken > 0 || report.restarts > 0) {
+  const std::uint64_t checkpointsTaken = tag(sim::TraceTag::kCkptTaken);
+  const std::uint64_t restarts = tag(sim::TraceTag::kCkptRestore);
+  if (checkpointsTaken > 0 || restarts > 0) {
     JsonValue ckpt = JsonValue::object();
-    ckpt.set("taken", JsonValue(report.checkpointsTaken));
+    ckpt.set("taken", JsonValue(checkpointsTaken));
     ckpt.set("bytes_packed", JsonValue(report.checkpointBytes));
-    ckpt.set("restarts", JsonValue(report.restarts));
+    ckpt.set("restarts", JsonValue(restarts));
     ckpt.set("recovery_us", JsonValue(report.recoveryUs));
     ckpt.set("heartbeat_period_us", JsonValue(report.heartbeatPeriodUs));
     ckpt.set("heartbeat_misses", JsonValue(report.heartbeatMisses));
@@ -336,15 +332,17 @@ util::JsonValue toJson(const ProfileReport& report) {
     eng.set("ring", std::move(ring));
     obj.set("parallel", std::move(eng));
   }
-  if (report.scaleOuts > 0 || report.drainsCompleted > 0 ||
-      report.migrationsAborted > 0) {
+  const std::uint64_t scaleOuts = tag(sim::TraceTag::kLifeScaleOut);
+  const std::uint64_t drainsCompleted = tag(sim::TraceTag::kLifeRetire);
+  const std::uint64_t migrationsAborted = tag(sim::TraceTag::kLifeAbort);
+  if (scaleOuts > 0 || drainsCompleted > 0 || migrationsAborted > 0) {
     JsonValue life = JsonValue::object();
-    life.set("scale_outs", JsonValue(report.scaleOuts));
-    life.set("drains_completed", JsonValue(report.drainsCompleted));
+    life.set("scale_outs", JsonValue(scaleOuts));
+    life.set("drains_completed", JsonValue(drainsCompleted));
     life.set("elements_migrated", JsonValue(report.elementsMigrated));
     life.set("handoff_bytes", JsonValue(report.handoffBytes));
     life.set("handoff_retries", JsonValue(report.handoffRetries));
-    life.set("migrations_aborted", JsonValue(report.migrationsAborted));
+    life.set("migrations_aborted", JsonValue(migrationsAborted));
     obj.set("lifecycle", std::move(life));
   }
 

@@ -26,17 +26,13 @@ struct ProfileReport {
   util::RunningStats utilization;      ///< busy fraction per PE
   util::RunningStats messagesPerPe;    ///< scheduler messages per PE
   util::RunningStats pumpsPerPe;       ///< scheduler pumps per PE
-  std::uint64_t fabricMessages = 0;
   std::uint64_t fabricBytes = 0;
   std::uint64_t runtimeMessages = 0;
-  std::uint64_t ckdirectPuts = 0;      ///< 0 when CkDirect unused
-  std::uint64_t ckdirectCallbacks = 0;
+  std::uint64_t ckdirectPuts = 0;      ///< logical puts; 0 when CkDirect unused
 
-  /// Checkpoint/restart counters (all zero unless pe_crash faults armed a
+  /// Checkpoint/restart state (all zero unless pe_crash faults armed a
   /// CheckpointManager for the run).
-  std::uint64_t checkpointsTaken = 0;
   std::uint64_t checkpointBytes = 0;   ///< chare state packed to buddies
-  std::uint64_t restarts = 0;
   sim::Time recoveryUs = 0.0;          ///< crash -> restored, summed
   sim::Time heartbeatPeriodUs = 0.0;   ///< effective --heartbeat-period
   int heartbeatMisses = 0;             ///< effective --heartbeat-misses
@@ -50,12 +46,9 @@ struct ProfileReport {
 
   /// Elastic lifecycle counters (all zero unless the run had a
   /// LifecycleManager).
-  std::uint64_t scaleOuts = 0;
-  std::uint64_t drainsCompleted = 0;
   std::uint64_t elementsMigrated = 0;
   std::uint64_t handoffBytes = 0;
   std::uint64_t handoffRetries = 0;
-  std::uint64_t migrationsAborted = 0;
 
   /// Virtual time attributed to each runtime tier, indexed by sim::Layer.
   std::array<sim::Time, sim::kLayerCount> layerTime_us{};
@@ -63,8 +56,13 @@ struct ProfileReport {
   /// layerSum / horizon; ~1.0 on serial workloads, >1 with overlap.
   double layerCoverage = 0.0;
 
-  /// Per-tag trace point counts, indexed by sim::TraceTag.
+  /// Per-tag trace point counts, indexed by sim::TraceTag. Event counts
+  /// with a tag (fabric transfers, CkDirect callbacks, checkpoints taken,
+  /// restarts, scale-outs, drains, aborted migrations) are read from here.
   std::array<std::uint64_t, sim::kTraceTagCount> tagCounts{};
+  std::uint64_t tag(sim::TraceTag t) const {
+    return tagCounts[static_cast<std::size_t>(t)];
+  }
   /// Poll-queue length histogram (log2 buckets, see TraceRecorder).
   std::array<std::uint64_t, sim::TraceRecorder::kPollHistBuckets> pollHist{};
   /// Rendezvous RTS -> ack round-trip times.

@@ -100,7 +100,6 @@ void MiniMpi::isend(int srcRank, int dstRank, int tag, const void* data,
                        static_cast<double>(bytes), dstRank);
       ConnSend& conn = connSendState(srcRank, dstRank);
       if (conn.credits == 0) {
-        ++creditStalls_;
         trace.recordSpan(engine().now(), srcRank, sim::TraceTag::kMpiRdmaStall,
                          sim::SpanPhase::kInstant, traceId, 0,
                          static_cast<double>(bytes), dstRank);
@@ -115,7 +114,6 @@ void MiniMpi::isend(int srcRank, int dstRank, int tag, const void* data,
     }
     // RDMA rendezvous: RTS, CTS with a cached registration, then a write
     // straight into the user buffer.
-    ++rdmaRndvSends_;
     trace.recordSpan(engine().now(), srcRank, sim::TraceTag::kMpiRdmaRndv,
                      sim::SpanPhase::kBegin, traceId, trace.context(),
                      static_cast<double>(bytes), dstRank);
@@ -214,7 +212,6 @@ void MiniMpi::rdmaEagerSendNow(int src, int dst, int tag,
                                std::vector<std::byte> payload,
                                std::function<void()> onSent,
                                std::uint64_t traceId) {
-  ++rdmaEagerSends_;
   const int piggy = takePiggyback(src, dst);
   softwareDelay(
       costs_.sw_send_us,
@@ -278,7 +275,6 @@ void MiniMpi::slotFreed(int src, int dst) {
   if (owed * 2 < costs_.rdma_credits) return;
   const int n = owed;
   owed = 0;
-  ++creditMsgs_;
   engine().trace().record(engine().now(), dst, sim::TraceTag::kMpiRdmaCredit,
                           static_cast<double>(n));
   sendControl(dst, src, [this, src, dst, n]() { creditArrive(src, dst, n); });
@@ -486,7 +482,6 @@ void MiniMpi::put(WinId winId, int originRank, std::size_t targetOffset,
               "MPI_Put outside a started access epoch (PSCW violation)");
   CKD_REQUIRE(targetOffset + bytes <= win.bytes,
               "MPI_Put writes past the end of the window");
-  ++puts_;
   ++epoch.putsIssued;
 
   const auto* src = static_cast<const std::byte*>(data);

@@ -89,7 +89,6 @@ class MiniMpi {
   void winWait(WinId win, std::function<void()> onDone);
 
   std::uint64_t sendsPosted() const { return sends_; }
-  std::uint64_t putsPosted() const { return puts_; }
 
   // --- RDMA channel (Liu et al., MPICH2 over InfiniBand) ---------------------
   // Persistent buffer association: each directed connection owns a ring of
@@ -126,12 +125,14 @@ class MiniMpi {
     return link_ == nullptr ? 0 : link_->retransmits();
   }
 
-  std::uint64_t rdmaEagerSends() const { return rdmaEagerSends_; }
-  std::uint64_t rdmaRndvSends() const { return rdmaRndvSends_; }
   /// Sends that had to queue because the connection was out of credits.
-  std::uint64_t creditStalls() const { return creditStalls_; }
+  std::uint64_t creditStalls() const {
+    return fabric_.tagCount(sim::TraceTag::kMpiRdmaStall);
+  }
   /// Explicit credit-return control messages (the piggyback misses).
-  std::uint64_t creditReturnMessages() const { return creditMsgs_; }
+  std::uint64_t creditReturnMessages() const {
+    return fabric_.tagCount(sim::TraceTag::kMpiRdmaCredit);
+  }
   /// Credits returned for free on reverse-direction eager sends.
   std::uint64_t piggybackedCredits() const { return piggybacked_; }
 
@@ -254,16 +255,11 @@ class MiniMpi {
   std::map<std::uint64_t, PostedRecv> rndvRecvs_;
   std::uint64_t nextRndvId_ = 0;
   std::uint64_t sends_ = 0;
-  std::uint64_t puts_ = 0;
 
   bool rdmaChannel_ = false;
   std::map<std::pair<int, int>, ConnSend> connSend_;  // {sender, receiver}
   /// Freed-but-unreturned credits, held at the receiver of each connection.
   std::map<std::pair<int, int>, int> connOwed_;  // {sender, receiver}
-  std::uint64_t rdmaEagerSends_ = 0;
-  std::uint64_t rdmaRndvSends_ = 0;
-  std::uint64_t creditStalls_ = 0;
-  std::uint64_t creditMsgs_ = 0;
   std::uint64_t piggybacked_ = 0;
 };
 

@@ -110,7 +110,6 @@ sim::Time Fabric::submitEx(int srcPe, int dstPe, std::size_t bytes,
   CKD_REQUIRE(dstPe >= 0 && dstPe < numPes(), "destination PE out of range");
   CKD_REQUIRE(onDeliver != nullptr, "transfer needs a delivery callback");
 
-  messages_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
 
   // The calling execution context: the submitting PE's shard engine in
@@ -286,11 +285,6 @@ std::size_t Fabric::injectQueueLength(int node) const {
 sim::Time Fabric::ejectFreeAt(int node) const {
   CKD_REQUIRE(node >= 0 && node < topology_->numNodes(), "node out of range");
   return ejectFree_[static_cast<std::size_t>(node)];
-}
-
-void Fabric::resetStats() {
-  messages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ckd::net

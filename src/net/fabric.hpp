@@ -42,12 +42,9 @@
 #include "fault/reliable.hpp"
 #include "net/cost_params.hpp"
 #include "sim/engine.hpp"
+#include "sim/parallel.hpp"
 #include "topo/topology.hpp"
 #include "util/inplace_fn.hpp"
-
-namespace ckd::sim {
-class ParallelEngine;
-}
 
 namespace ckd::net {
 
@@ -111,14 +108,31 @@ class Fabric : public fault::WireSender {
   std::size_t injectQueueLength(int node) const;
   sim::Time ejectFreeAt(int node) const;
 
+  /// Visit every engine of the machine: the construction engine, then —
+  /// when attached to a sharded engine, whose serial engine it is — each
+  /// shard's engine in shard order.
+  template <class F>
+  void forEachEngine(F&& fn) const {
+    fn(engine_);
+    if (parallel_ == nullptr) return;
+    for (int s = 0; s < parallel_->shards(); ++s) fn(parallel_->shardEngine(s));
+  }
+
+  /// Always-on trace-tag count summed over every engine. This is the one
+  /// count of a tagged event: the subsystems' event counters read it.
+  std::uint64_t tagCount(sim::TraceTag tag) const {
+    std::uint64_t n = 0;
+    forEachEngine(
+        [&n, tag](const sim::Engine& eng) { n += eng.trace().count(tag); });
+    return n;
+  }
+
   std::uint64_t messagesSubmitted() const {
-    return messages_.load(std::memory_order_relaxed);
+    return tagCount(sim::TraceTag::kFabricSubmit);
   }
   std::uint64_t bytesSubmitted() const {
     return bytes_.load(std::memory_order_relaxed);
   }
-
-  void resetStats();
 
  private:
   struct Flow {
@@ -152,7 +166,6 @@ class Fabric : public fault::WireSender {
   std::vector<Port> inject_;
   std::vector<sim::Time> ejectFree_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::atomic<std::uint64_t> messages_{0};
   std::atomic<std::uint64_t> bytes_{0};
 };
 

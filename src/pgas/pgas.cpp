@@ -215,7 +215,6 @@ OpId Pgas::put(int origin, int target, Gptr dst, const void* src,
                          sim::SpanPhase::kBegin, traceId,
                          eng.trace().context(),
                          static_cast<double>(bytes), target);
-  puts_.fetch_add(1, std::memory_order_relaxed);
   putBytes_.fetch_add(bytes, std::memory_order_relaxed);
   const OpId id = newOp(origin, target);
   softwareDelay(costs_.put_origin_us,
@@ -245,7 +244,6 @@ OpId Pgas::putSignal(int origin, int target, Gptr dst, const void* src,
                          sim::SpanPhase::kBegin, traceId,
                          eng.trace().context(),
                          static_cast<double>(bytes), target);
-  puts_.fetch_add(1, std::memory_order_relaxed);
   putBytes_.fetch_add(bytes, std::memory_order_relaxed);
   const OpId id = newOp(origin, target);
   softwareDelay(costs_.put_origin_us,
@@ -389,7 +387,6 @@ OpId Pgas::get(int origin, int target, Gptr src, void* dst, std::size_t bytes,
                          sim::SpanPhase::kBegin, traceId,
                          eng.trace().context(),
                          static_cast<double>(bytes), target);
-  gets_.fetch_add(1, std::memory_order_relaxed);
   const OpId id = newOp(origin, target);
   if (done) pe(origin).ops[id].remoteWaiter = std::move(done);
 
@@ -521,7 +518,6 @@ OpId Pgas::issueAtomic(int origin, int target, Gptr g, bool isCas,
   eng.trace().recordSpan(eng.now(), origin, sim::TraceTag::kPgasAtomic,
                          sim::SpanPhase::kBegin, traceId,
                          eng.trace().context(), 8.0, target);
-  atomics_.fetch_add(1, std::memory_order_relaxed);
   const OpId id = newOp(origin, target);
 
   softwareDelay(costs_.atomic_origin_us, [this, origin, target, g, isCas, a,

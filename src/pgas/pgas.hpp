@@ -240,15 +240,6 @@ class Pgas {
 
   // --- counters -------------------------------------------------------------
 
-  std::uint64_t putsIssued() const {
-    return puts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t getsIssued() const {
-    return gets_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t atomicsIssued() const {
-    return atomics_.load(std::memory_order_relaxed);
-  }
   std::uint64_t bytesPut() const {
     return putBytes_.load(std::memory_order_relaxed);
   }
@@ -348,9 +339,6 @@ class Pgas {
   int barrierArrived_ = 0;
   std::uint64_t barrierGen_ = 0;
 
-  std::atomic<std::uint64_t> puts_{0};
-  std::atomic<std::uint64_t> gets_{0};
-  std::atomic<std::uint64_t> atomics_{0};
   std::atomic<std::uint64_t> putBytes_{0};
   std::atomic<std::uint64_t> regMisses_{0};
   std::atomic<std::uint64_t> failedOps_{0};

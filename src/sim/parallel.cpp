@@ -8,9 +8,6 @@
 
 namespace ckd::sim {
 
-thread_local int ParallelEngine::tlsShard_ = -1;
-thread_local int ParallelEngine::tlsSerialSrcPe_ = -1;
-
 namespace {
 
 constexpr int kSpinsBeforeYield = 1024;

@@ -366,8 +366,8 @@ class ParallelEngine {
 
   std::vector<RingEntry> drainScratch_;  ///< coordinator-side scratch
 
-  static thread_local int tlsShard_;
-  static thread_local int tlsSerialSrcPe_;
+  inline static thread_local int tlsShard_ = -1;
+  inline static thread_local int tlsSerialSrcPe_ = -1;
 };
 
 }  // namespace ckd::sim

@@ -1,8 +1,41 @@
 #include "util/args.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
+#include "util/require.hpp"
+
 namespace ckd::util {
+
+namespace {
+
+/// Abort naming the flag and its value unless `wellFormed`.
+void requireValue(bool wellFormed, const std::string& key,
+                  const std::string& value, const char* want) {
+  if (wellFormed) return;
+  const std::string msg =
+      "--" + key + " needs " + want + ", got '" + value + "'";
+  CKD_REQUIRE(wellFormed, msg.c_str());
+}
+
+/// True when a strtoll/strtod parse of `text` that stopped at `end` took all
+/// of it (no leading blanks, no trailing characters) and stayed in range.
+bool parsedWhole(const std::string& text, const char* end) {
+  return !text.empty() &&
+         !std::isspace(static_cast<unsigned char>(text.front())) &&
+         end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+std::int64_t parseInt(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  requireValue(parsedWhole(text, end), key, text, "an integer");
+  return value;
+}
+
+}  // namespace
 
 Args::Args(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -39,21 +72,27 @@ std::string Args::get(const std::string& key,
 std::int64_t Args::getInt(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parseInt(key, it->second);
 }
 
 double Args::getDouble(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(it->second.c_str(), &end);
+  requireValue(parsedWhole(it->second, end), key, it->second, "a number");
+  return value;
 }
 
 bool Args::getBool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  if (it->second.empty() || it->second == "1" || it->second == "true" ||
-      it->second == "yes" || it->second == "on")
+  const std::string& v = it->second;
+  if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on")
     return true;
+  requireValue(v == "0" || v == "false" || v == "no" || v == "off", key, v,
+               "1/0, true/false, yes/no or on/off");
   return false;
 }
 
@@ -67,9 +106,7 @@ std::vector<std::int64_t> Args::getIntList(
   while (start <= text.size()) {
     auto comma = text.find(',', start);
     if (comma == std::string::npos) comma = text.size();
-    if (comma > start)
-      out.push_back(std::strtoll(text.substr(start, comma - start).c_str(),
-                                 nullptr, 10));
+    out.push_back(parseInt(key, text.substr(start, comma - start)));
     start = comma + 1;
   }
   return out;

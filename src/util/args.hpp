@@ -1,6 +1,8 @@
 #pragma once
 // Tiny command-line parser for the bench / example binaries.
-// Supports --flag, --key=value and --key value forms.
+// Supports --flag, --key=value and --key value forms. A typed getter takes
+// only a whole, in-range value (no trailing characters, so `--iters 5x` is
+// not 5); anything else aborts via CKD_REQUIRE naming the flag and value.
 
 #include <cstdint>
 #include <map>
@@ -17,6 +19,7 @@ class Args {
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t getInt(const std::string& key, std::int64_t fallback) const;
   double getDouble(const std::string& key, double fallback) const;
+  /// Bare flag, 1, true, yes, on -> true; 0, false, no, off -> false.
   bool getBool(const std::string& key, bool fallback) const;
 
   /// Comma-separated integer list, e.g. --procs=64,128,256.

@@ -23,6 +23,7 @@
 #include "harness/profile.hpp"
 #include "util/args.hpp"
 #include "net/fabric.hpp"
+#include "profile_counters.hpp"
 #include "sim/engine.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -305,7 +306,7 @@ void expectCrashRecovered(const charm::MachineConfig& clean, int victim) {
   const int iters = 12;
   const CrashRun base = runStencil(clean, iters);
   EXPECT_EQ(base.crashes, 0u);
-  EXPECT_EQ(base.profile.restarts, 0u);
+  EXPECT_EQ(base.profile.tag(sim::TraceTag::kCkptRestore), 0u);
 
   charm::MachineConfig crashed = clean;
   std::string spec = "pe_crash@" + std::to_string(0.75 * base.horizon);
@@ -323,8 +324,8 @@ void expectCrashRecovered(const charm::MachineConfig& clean, int victim) {
   EXPECT_EQ(base.field, soak.field);
 
   // Harness plumbing: the counters reach ProfileReport.
-  EXPECT_EQ(soak.profile.restarts, 1u);
-  EXPECT_GE(soak.profile.checkpointsTaken, 1u);
+  EXPECT_EQ(soak.profile.tag(sim::TraceTag::kCkptRestore), 1u);
+  EXPECT_GE(soak.profile.tag(sim::TraceTag::kCkptTaken), 1u);
   EXPECT_GT(soak.profile.checkpointBytes, 0u);
   EXPECT_GT(soak.profile.recoveryUs, 0.0);
 
@@ -354,6 +355,92 @@ TEST(CrashRestart, StencilSurvivesRandomVictimOnBgp) {
 
 TEST(CrashRestart, StencilSurvivesPinnedVictimOnBgp) {
   expectCrashRecovered(harness::surveyorMachine(4, 2), /*victim=*/1);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned profile counters: every event count a profile reports, on crash
+// runs through both CkDirect managers, the reliable links and the buddy
+// checkpoints, equals the value it had when each of these events was still
+// counted twice (a trace tag plus a member counter).
+
+/// `clean` with a pe_crash of `victim` at 3/4 of its fault-free horizon
+/// (after `wire` faults, if any) and a checkpoint period of 1/8 of it.
+charm::MachineConfig crashPlan(charm::MachineConfig clean,
+                               const std::string& wire, int victim) {
+  const double horizon = runStencil(clean, 12).horizon;
+  clean.faults = fault::parseFaultSpec(
+      wire + "pe_crash@" + std::to_string(0.75 * horizon) +
+      ";pe=" + std::to_string(victim));
+  clean.faultSeed = 3;
+  clean.checkpointPeriod_us = horizon / 8.0;
+  return clean;
+}
+
+constexpr const char* kWireFaults = "drop:0.02,duplicate:0.01,corrupt:0.01,";
+
+TEST(ProfilePins, FaultAndCrashOnIb) {
+  const CrashRun run =
+      runStencil(crashPlan(harness::t3Machine(4, 2), kWireFaults, 2), 12);
+  EXPECT_EQ(testutil::profileCounters(run.profile), (testutil::Counters{
+      {"checkpoint.restarts", 1}, {"checkpoint.taken", 4},
+      {"ckdirect.callbacks", 102}, {"ckdirect.puts", 104},
+      {"fabric.messages", 774}, {"tag_counts.ckpt.restore", 1},
+      {"tag_counts.ckpt.taken", 4}, {"tag_counts.crash.detect", 1},
+      {"tag_counts.direct.callback", 102},
+      {"tag_counts.direct.poll_scan", 280}, {"tag_counts.direct.put", 103},
+      {"tag_counts.direct.ready", 100},
+      {"tag_counts.direct.sentinel_hit", 102},
+      {"tag_counts.fabric.deliver", 770}, {"tag_counts.fabric.submit", 774},
+      {"tag_counts.fault.corrupt", 2}, {"tag_counts.fault.drop", 5},
+      {"tag_counts.fault.duplicate", 1}, {"tag_counts.fault.pe_crash", 1},
+      {"tag_counts.rel.ack", 213}, {"tag_counts.rel.dup_drop", 2},
+      {"tag_counts.rel.retransmit", 2}, {"tag_counts.rel.stale_nak", 1},
+      {"tag_counts.sched.deliver", 213}, {"tag_counts.sched.pump", 338},
+      {"tag_counts.sched.pump_done", 338}, {"tag_counts.sched.syswork", 36},
+      {"tag_counts.xport.eager", 97},
+  }));
+}
+
+TEST(ProfilePins, FaultAndCrashOnBgp) {
+  const CrashRun run = runStencil(
+      crashPlan(harness::surveyorMachine(4, 2), kWireFaults, 1), 12);
+  EXPECT_EQ(testutil::profileCounters(run.profile), (testutil::Counters{
+      {"checkpoint.restarts", 1}, {"checkpoint.taken", 2},
+      {"ckdirect.callbacks", 107}, {"ckdirect.puts", 108},
+      {"fabric.messages", 541}, {"tag_counts.ckpt.restore", 1},
+      {"tag_counts.ckpt.taken", 2}, {"tag_counts.crash.detect", 1},
+      {"tag_counts.direct.callback", 107}, {"tag_counts.direct.put", 107},
+      {"tag_counts.fabric.deliver", 537}, {"tag_counts.fabric.submit", 541},
+      {"tag_counts.fault.corrupt", 2}, {"tag_counts.fault.drop", 5},
+      {"tag_counts.fault.duplicate", 1}, {"tag_counts.fault.pe_crash", 1},
+      {"tag_counts.rel.ack", 212}, {"tag_counts.rel.dup_drop", 1},
+      {"tag_counts.rel.ooo_drop", 4}, {"tag_counts.rel.retransmit", 10},
+      {"tag_counts.rel.stale_nak", 3}, {"tag_counts.sched.deliver", 219},
+      {"tag_counts.sched.pump", 354}, {"tag_counts.sched.pump_done", 354},
+      {"tag_counts.sched.syswork", 135}, {"tag_counts.xport.bgp_send", 100},
+  }));
+}
+
+TEST(ProfilePins, CrashOnIbUnderTwoShards) {
+  charm::MachineConfig machine = crashPlan(harness::t3Machine(4, 2), "", 2);
+  machine.shards = 2;
+  machine.shardThreads = 1;
+  const CrashRun run = runStencil(machine, 12);
+  EXPECT_EQ(testutil::profileCounters(run.profile), (testutil::Counters{
+      {"checkpoint.restarts", 1}, {"checkpoint.taken", 4},
+      {"ckdirect.callbacks", 107}, {"ckdirect.puts", 110},
+      {"fabric.messages", 788}, {"tag_counts.ckpt.restore", 1},
+      {"tag_counts.ckpt.taken", 4}, {"tag_counts.crash.detect", 1},
+      {"tag_counts.direct.callback", 107},
+      {"tag_counts.direct.poll_scan", 291}, {"tag_counts.direct.put", 108},
+      {"tag_counts.direct.ready", 104},
+      {"tag_counts.direct.sentinel_hit", 107},
+      {"tag_counts.fabric.deliver", 788}, {"tag_counts.fabric.submit", 788},
+      {"tag_counts.fault.pe_crash", 1}, {"tag_counts.rel.ack", 223},
+      {"tag_counts.rel.stale_nak", 1}, {"tag_counts.sched.deliver", 221},
+      {"tag_counts.sched.pump", 351}, {"tag_counts.sched.pump_done", 351},
+      {"tag_counts.sched.syswork", 36}, {"tag_counts.xport.eager", 101},
+  }));
 }
 
 TEST(CrashRestartDeath, CrashBeforeFirstCheckpointAborts) {

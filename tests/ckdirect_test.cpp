@@ -192,7 +192,7 @@ TEST(CkDirectIb, PollQueueCostChargedPerHandle) {
   EXPECT_EQ(active.arrivals, 1);
   const auto* mgr = dynamic_cast<IbManager*>(&Manager::of(rts));
   ASSERT_NE(mgr, nullptr);
-  EXPECT_GE(mgr->pollScans(), 1u);
+  EXPECT_GE(rts.fabric().tagCount(sim::TraceTag::kDirectPollScan), 1u);
   // 11 handles were in the queue during the detection pump.
   const auto& costs = rts.costs();
   EXPECT_GE(rts.processor(1).busyTotal(),
@@ -245,7 +245,7 @@ TEST(CkDirectIb, IdleScansKeepQueueOrderAndChargePerHandle) {
     for (int k = 1; k <= 3; ++k) rts.scheduler(1).poke(static_cast<double>(k));
   });
   rts.run();
-  EXPECT_EQ(mgr->pollScans(), 3u);
+  EXPECT_EQ(rts.fabric().tagCount(sim::TraceTag::kDirectPollScan), 3u);
   EXPECT_EQ(mgr->pollQueueLength(1), 3u);
   EXPECT_TRUE(fired.empty());
   EXPECT_NEAR(rts.processor(1).busyTotal(), 3 * 3 * costs.poll_per_handle_us,

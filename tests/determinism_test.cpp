@@ -244,9 +244,14 @@ PgasStormResult runPgasStorm(bool pools) {
   std::uint64_t h = 1469598103934665603ull;
   for (int p = 0; p < n; ++p) h = fnv(pg.addr(p, pgas::Gptr{0, kSeg}), kSeg, h);
   r.segments = h;
-  const std::uint64_t counts[] = {pg.putsIssued(),  pg.getsIssued(),
-                                  pg.atomicsIssued(), pg.bytesPut(),
-                                  pg.failedOps(),   pg.barriersCompleted()};
+  const net::Fabric& fabric = world.fabric();
+  const std::uint64_t counts[] = {
+      fabric.tagCount(sim::TraceTag::kPgasPut),
+      fabric.tagCount(sim::TraceTag::kPgasGet),
+      fabric.tagCount(sim::TraceTag::kPgasAtomic),
+      pg.bytesPut(),
+      pg.failedOps(),
+      pg.barriersCompleted()};
   r.counters = fnv(counts, sizeof counts);
   r.trace = traceDigest(world.runtime().traceEvents());
   return r;

@@ -123,8 +123,8 @@ TEST(Profile, CapturesRuntimeActivity) {
   EXPECT_EQ(report.pes, 2);
   EXPECT_GT(report.horizon_us, 0.0);
   EXPECT_EQ(report.ckdirectPuts, 1u);
-  EXPECT_EQ(report.ckdirectCallbacks, 1u);
-  EXPECT_GE(report.fabricMessages, 1u);
+  EXPECT_EQ(report.tag(sim::TraceTag::kDirectCallback), 1u);
+  EXPECT_GE(report.tag(sim::TraceTag::kFabricSubmit), 1u);
   const std::string text = report.toString();
   EXPECT_NE(text.find("utilization"), std::string::npos);
   EXPECT_NE(text.find("ckdirect"), std::string::npos);

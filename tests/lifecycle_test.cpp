@@ -34,6 +34,8 @@
 #include "charm/runtime.hpp"
 #include "fault/fault.hpp"
 #include "harness/machines.hpp"
+#include "harness/profile.hpp"
+#include "profile_counters.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -240,6 +242,7 @@ struct LifeResult {
   std::uint64_t checkpoints = 0, restores = 0, crashes = 0;
   int finalPes = 0, activePes = 0;
   charm::PeState drainPeState = charm::PeState::kActive;
+  testutil::Counters profile;  ///< the profile's integer event counters
 };
 
 LifeResult runLife(charm::MachineConfig machine, const LifeParams& par) {
@@ -300,6 +303,7 @@ LifeResult runLife(charm::MachineConfig machine, const LifeParams& par) {
     out.drainPeState = life->state(par.drainPe);
   }
   out.finalPes = rts.numPes();
+  out.profile = testutil::profileCounters(harness::captureProfile(rts));
   return out;
 }
 
@@ -376,6 +380,47 @@ TEST(LifecycleApp, ScaleOutThenDrainIsShardCountInvariant) {
     EXPECT_EQ(run.finalPes, 12);
     EXPECT_EQ(run.activePes, 11);
   }
+}
+
+// Pinned profile counters of a scale-out then drain: every event count the
+// profile reports equals the value it had when each of these events was
+// still counted twice (a trace tag plus a member counter).
+LifeParams scaleOutThenDrain() {
+  LifeParams par;
+  par.scaleOutAtRound = 4;
+  par.scaleOutPes = 4;
+  par.drainAtRound = 10;
+  return par;
+}
+
+TEST(ProfilePins, ScaleOutThenDrain) {
+  const LifeResult run = runLife(elasticMachine(0), scaleOutThenDrain());
+  EXPECT_EQ(run.profile, (testutil::Counters{
+      {"fabric.messages", 340}, {"lifecycle.drains_completed", 1},
+      {"lifecycle.migrations_aborted", 0}, {"lifecycle.scale_outs", 1},
+      {"tag_counts.fabric.deliver", 340}, {"tag_counts.fabric.submit", 340},
+      {"tag_counts.lifecycle.drain", 1}, {"tag_counts.lifecycle.handoff", 10},
+      {"tag_counts.lifecycle.join", 4}, {"tag_counts.lifecycle.retire", 1},
+      {"tag_counts.lifecycle.scale_out", 1}, {"tag_counts.rel.ack", 10},
+      {"tag_counts.sched.deliver", 1067}, {"tag_counts.sched.pump", 1087},
+      {"tag_counts.sched.pump_done", 1087}, {"tag_counts.sched.syswork", 20},
+      {"tag_counts.xport.eager", 320},
+  }));
+}
+
+TEST(ProfilePins, ScaleOutThenDrainUnderTwoShards) {
+  const LifeResult run = runLife(elasticMachine(2), scaleOutThenDrain());
+  EXPECT_EQ(run.profile, (testutil::Counters{
+      {"fabric.messages", 340}, {"lifecycle.drains_completed", 1},
+      {"lifecycle.migrations_aborted", 0}, {"lifecycle.scale_outs", 1},
+      {"tag_counts.fabric.deliver", 340}, {"tag_counts.fabric.submit", 340},
+      {"tag_counts.lifecycle.drain", 1}, {"tag_counts.lifecycle.handoff", 10},
+      {"tag_counts.lifecycle.join", 4}, {"tag_counts.lifecycle.retire", 1},
+      {"tag_counts.lifecycle.scale_out", 1}, {"tag_counts.rel.ack", 10},
+      {"tag_counts.sched.deliver", 1067}, {"tag_counts.sched.pump", 1087},
+      {"tag_counts.sched.pump_done", 1087}, {"tag_counts.sched.syswork", 20},
+      {"tag_counts.xport.eager", 320},
+  }));
 }
 
 }  // namespace

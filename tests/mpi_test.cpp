@@ -249,8 +249,8 @@ TEST_F(MpiTest, RdmaEagerSmallMessage) {
   engine_.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(recv, send);
-  EXPECT_EQ(mpi_.rdmaEagerSends(), 1u);
-  EXPECT_EQ(mpi_.rdmaRndvSends(), 0u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kMpiRdmaEager), 1u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kMpiRdmaRndv), 0u);
   // One slot consumed; the freed slot is owed but under the return
   // threshold, so no explicit credit message flew.
   EXPECT_EQ(mpi_.sendCredits(0, 1), mvapichCosts().rdma_credits - 1);
@@ -273,8 +273,8 @@ TEST_F(MpiTest, RdmaCrossoverAtSlotSize) {
   EXPECT_EQ(done, 2);
   EXPECT_EQ(rEager, sEager);
   EXPECT_EQ(rRndv, sRndv);
-  EXPECT_EQ(mpi_.rdmaEagerSends(), 1u);
-  EXPECT_EQ(mpi_.rdmaRndvSends(), 1u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kMpiRdmaEager), 1u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kMpiRdmaRndv), 1u);
 }
 
 TEST_F(MpiTest, CreditExhaustionStallsThenDrains) {
@@ -449,7 +449,7 @@ TEST_F(MpiFaultTest, RendezvousUnderFaultsDeliversIntact) {
   engine_.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(recv, send);
-  EXPECT_EQ(mpi_.rdmaRndvSends(), 1u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kMpiRdmaRndv), 1u);
 }
 
 TEST(MpiReliability, ArmedLinkIsNoopWithoutFaults) {

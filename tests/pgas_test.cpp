@@ -91,7 +91,7 @@ TEST_F(PgasTest, PutBlockingDeliversThePayload) {
   engine_.run();
   EXPECT_GT(doneAt, 0.0);
   EXPECT_EQ(std::memcmp(pg_.addr(2, g), src.data(), src.size()), 0);
-  EXPECT_EQ(pg_.putsIssued(), 1u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kPgasPut), 1u);
   EXPECT_EQ(pg_.bytesPut(), src.size());
 }
 
@@ -143,7 +143,7 @@ TEST_F(PgasTest, GetFetchesRemoteDataAndCachesTheRegistration) {
   engine_.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(std::memcmp(dst.data(), remote, 512), 0);
-  EXPECT_EQ(pg_.getsIssued(), 1u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kPgasGet), 1u);
   // The landing buffer lives outside the symmetric heap: pinned once.
   EXPECT_EQ(pg_.regCacheMisses(), 1u);
   bool again = false;
@@ -191,7 +191,7 @@ TEST_F(PgasTest, FetchAddSerializesConcurrentUpdaters) {
   std::set<std::int64_t> distinct(olds.begin(), olds.end());
   EXPECT_EQ(distinct.size(), 3u);
   EXPECT_EQ(distinct.count(0), 1u);
-  EXPECT_EQ(pg_.atomicsIssued(), 3u);
+  EXPECT_EQ(fabric_.tagCount(sim::TraceTag::kPgasAtomic), 3u);
 }
 
 TEST_F(PgasTest, CompareSwapAppliesOnlyOnMatch) {

@@ -195,5 +195,39 @@ TEST(Args, Fallbacks) {
   EXPECT_EQ(list[0], 7);
 }
 
+TEST(Args, WholeTokensParse) {
+  const char* argv[] = {"prog",      "--a=-12",  "--b=+7", "--x=2.5e3",
+                        "--l=1,-2,3", "--f=off", "--g=yes", "--h=0"};
+  Args args(8, argv);
+  EXPECT_EQ(args.getInt("a", 0), -12);
+  EXPECT_EQ(args.getInt("b", 0), 7);
+  EXPECT_DOUBLE_EQ(args.getDouble("x", 0.0), 2500.0);
+  EXPECT_EQ(args.getIntList("l", {}), (std::vector<std::int64_t>{1, -2, 3}));
+  EXPECT_FALSE(args.getBool("f", true));
+  EXPECT_TRUE(args.getBool("g", false));
+  EXPECT_FALSE(args.getBool("h", true));
+}
+
+TEST(Args, MalformedValuesFailNamingFlagAndValue) {
+  const char* argv[] = {"prog",         "--iters=abc",  "--count=5x",
+                        "--shards=two", "--big=99999999999999999999",
+                        "--pad= 5",     "--rate=1.5y",  "--tiny=1e-400",
+                        "--sizes=64,x", "--gap=1,,2",   "--flag=maybe"};
+  Args args(11, argv);
+  EXPECT_DEATH(args.getInt("iters", 1), "--iters needs an integer, got 'abc'");
+  EXPECT_DEATH(args.getInt("count", 1), "--count needs an integer, got '5x'");
+  EXPECT_DEATH(args.getInt("shards", 0),
+               "--shards needs an integer, got 'two'");
+  EXPECT_DEATH(args.getInt("big", 0), "--big needs an integer");
+  EXPECT_DEATH(args.getInt("pad", 0), "--pad needs an integer, got ' 5'");
+  EXPECT_DEATH(args.getDouble("rate", 0.0),
+               "--rate needs a number, got '1.5y'");
+  EXPECT_DEATH(args.getDouble("tiny", 0.0), "--tiny needs a number");
+  EXPECT_DEATH(args.getIntList("sizes", {}),
+               "--sizes needs an integer, got 'x'");
+  EXPECT_DEATH(args.getIntList("gap", {}), "--gap needs an integer, got ''");
+  EXPECT_DEATH(args.getBool("flag", false), "--flag needs 1/0, true/false");
+}
+
 }  // namespace
 }  // namespace ckd::util
